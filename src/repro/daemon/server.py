@@ -14,14 +14,20 @@ Architecture — one event loop, one worker thread, one clock:
   ``time.monotonic() - t0`` so wall time and workload time advance in
   lockstep and the idle-TTL / deadline-flush machinery just works.
 - **Async/thread bridge.**  ``AffectServer`` is thread-safe but
-  blocking (DSP + model flushes), so every ``submit``/``poll``/
-  ``drain`` call crosses into a single-worker
-  :class:`~concurrent.futures.ThreadPoolExecutor` via
-  ``loop.run_in_executor``.  One worker is a feature, not a limit: it
-  serialises server calls, which (together with asyncio's FIFO future
-  callbacks) guarantees per-session results are dispatched in
-  submission order — the invariant the seq-matching in
-  :meth:`ReproDaemon._dispatch` relies on.
+  blocking (DSP + model flushes), so server calls run on a
+  single-worker :class:`~concurrent.futures.ThreadPoolExecutor`.
+  Windows do not hop there one by one: the ingest path queues each
+  window, and one pump task submits everything queued in a single
+  executor call, in arrival order (:meth:`ReproDaemon._pump`).  One
+  worker is a feature, not a limit: it serialises server calls, and
+  the worker hands each submit's results back to the loop in order
+  (``call_soon_threadsafe`` callbacks run FIFO), so per-session results
+  are dispatched in submission order — the invariant the seq-matching
+  in :meth:`ReproDaemon._dispatch` relies on.
+- **One BLAS thread.**  While it serves, the daemon pins numpy's
+  OpenBLAS pool to one thread (:mod:`repro.daemon.blas`): at flush
+  sizes a second thread buys no speed and doubles the CPU per window.
+  An operator's explicit ``OPENBLAS_NUM_THREADS`` wins.
 - **Admission gates.**  A connection cap with LRU preemption (the
   evicted peer gets an explicit ``preempted`` frame before close — the
   serve layer's never-silent-drop contract extended to connections)
@@ -29,8 +35,9 @@ Architecture — one event loop, one worker thread, one clock:
   immediate degraded ``result`` frame rather than queueing them.
 - **Reap, don't leak.**  Any connection teardown — clean ``bye``,
   abrupt reset, preemption — evicts the session through
-  :meth:`~repro.serve.sessions.SessionManager.evict`; results still in
-  flight for it complete against a detached stand-in and are counted
+  :meth:`~repro.serve.sessions.SessionManager.evict`; its windows still
+  queued are never submitted, and results still in flight for it
+  complete against a detached stand-in; both are counted
   ``daemon.replies.unroutable``, never resurrecting state.
 - **Monitoring.**  The poll loop drives the same
   :func:`~repro.obs.monitor.make_monitor` stack as ``repro monitor``:
@@ -47,12 +54,15 @@ Architecture — one event loop, one worker thread, one clock:
 from __future__ import annotations
 
 import asyncio
+import logging
+import os
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.daemon import protocol
+from repro.daemon.blas import blas_threads, set_blas_threads
 from repro.errors import ProtocolError
 from repro.obs import get_registry, labeled
 from repro.obs.monitor import make_monitor
@@ -123,14 +133,16 @@ class _Connection:
         self.session_id = session_id
         self.opened_at = opened_at
         self.last_active = opened_at
-        #: Client seqs of windows inside the batcher, submission order.
-        #: Per-session completions come back in submission order (single
-        #: executor worker + in-order batch flushes), so a FIFO pop maps
-        #: each completed result back to the client's own seq.
+        #: Client seqs of windows queued or inside the batcher, arrival
+        #: order.  Per-session completions come back in that order
+        #: (arrival-order hops, single executor worker, in-order batch
+        #: flushes), so a FIFO pop maps each completed result back to
+        #: the client's own seq.
         self.pending: deque[int] = deque()
         self.windows = 0
         self.shed = 0
-        self.closing = False
+        #: The teardown reason once the connection is closing.
+        self.closing: str | None = None
 
 
 class ReproDaemon:
@@ -147,6 +159,15 @@ class ReproDaemon:
         self._ingest: asyncio.base_events.Server | None = None
         self._admin: asyncio.base_events.Server | None = None
         self._poll_task: asyncio.Task | None = None
+        #: Windows waiting for the next hop: ``(conn, seq, signal, now)``.
+        self._queue: list[tuple[_Connection, int, object, float]] = []
+        self._wake: asyncio.Event | None = None
+        self._pump_task: asyncio.Task | None = None
+        #: Connections with windows in the hop the worker is running.
+        self._hop_conns: set[_Connection] = set()
+        self._stopping = False
+        #: BLAS pool size to restore on stop (``None``: nothing pinned).
+        self._blas_restore: int | None = None
         self._t0 = time.monotonic()
         self.port: int | None = None
         self.admin_port: int | None = None
@@ -189,7 +210,7 @@ class ReproDaemon:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind both listeners and start the poll loop."""
+        """Bind both listeners, pin BLAS, start the pump and poll loop."""
         self._t0 = time.monotonic()
         cfg = self.config
         self._ingest = await asyncio.start_server(
@@ -204,6 +225,13 @@ class ReproDaemon:
         self.admin_port = self._admin.sockets[0].getsockname()[1]
         if self.profiler is not None:
             self.profiler.start()
+        if "OPENBLAS_NUM_THREADS" not in os.environ:
+            # After training, so set-up keeps the full pool; an
+            # operator's explicit thread count is left alone.
+            self._blas_restore = set_blas_threads(1)
+        self._stopping = False
+        self._wake = asyncio.Event()
+        self._pump_task = asyncio.create_task(self._pump())
         self._poll_task = asyncio.create_task(self._poll_loop())
 
     async def serve_forever(self) -> None:
@@ -219,7 +247,14 @@ class ReproDaemon:
             except asyncio.CancelledError:
                 pass
             self._poll_task = None
-        # Every accepted window is answered, even across shutdown.
+        # Every accepted window is answered, even across shutdown: new
+        # windows are shed from here on, the pump submits what is still
+        # queued and exits, and the drain flushes the batcher.
+        self._stopping = True
+        if self._pump_task is not None:
+            self._wake.set()
+            await self._pump_task
+            self._pump_task = None
         self._dispatch(await self._run(self.server.drain, self.now()))
         for conn in list(self._routes.values()):
             self._close_conn(conn, reason="shutdown")
@@ -229,6 +264,9 @@ class ReproDaemon:
                 await listener.wait_closed()
         self._ingest = self._admin = None
         self._executor.shutdown(wait=True)
+        if self._blas_restore is not None:
+            set_blas_threads(self._blas_restore)
+            self._blas_restore = None
         if self.profiler is not None:
             self.profiler.stop()
         if self._heap is not None:
@@ -282,6 +320,7 @@ class ReproDaemon:
             "protocol_errors": self.protocol_errors,
             "max_connections": self.config.max_connections,
             "max_inflight": self.config.max_inflight,
+            "blas_threads": blas_threads(),
             "server": stats,
         }
 
@@ -323,7 +362,7 @@ class ReproDaemon:
                 frame = await next_frame()
                 if frame is None:
                     return
-                if await self._handle_frame(conn, frame):
+                if self._handle_frame(conn, frame):
                     reason = "bye"
                     return
         except asyncio.TimeoutError:
@@ -344,11 +383,11 @@ class ReproDaemon:
             else:
                 self._close_writer(writer)
 
-    async def _handle_frame(self, conn: _Connection, frame: dict) -> bool:
+    def _handle_frame(self, conn: _Connection, frame: dict) -> bool:
         """One post-hello frame; ``True`` means the client said bye."""
         kind = frame.get("type")
         if kind == "window":
-            await self._handle_window(conn, frame)
+            self._handle_window(conn, frame)
             return False
         if kind == "ping":
             self._send(conn, {"type": "pong", "t": frame.get("t")})
@@ -358,36 +397,115 @@ class ReproDaemon:
             return True
         raise ProtocolError(f"unexpected frame type {kind!r}")
 
-    async def _handle_window(self, conn: _Connection, frame: dict) -> None:
+    def _handle_window(self, conn: _Connection, frame: dict) -> None:
+        """Gate one window and queue it for the pump's next hop."""
         seq, signal = protocol.parse_window(frame)
         now = self.now()
         conn.last_active = now
         conn.windows += 1
+        if self._stopping:
+            self._shed(conn, seq, gate="shutdown")
+        elif len(conn.pending) >= self.config.max_inflight:
+            self._shed(conn, seq, gate="inflight")
+        else:
+            conn.pending.append(seq)
+            self._queue.append((conn, seq, signal, now))
+            self._wake.set()
+
+    def _shed(self, conn: _Connection, seq: int, gate: str) -> None:
+        """Answer one window *now* with the session's degraded fallback.
+
+        The in-flight gate, shutdown and a failed submit shed instead of
+        queueing — shed, never silently drop.
+        """
+        conn.shed += 1
+        self.daemon_shed += 1
+        get_registry().inc(labeled("daemon.shed", gate=gate))
+        session = self.server.sessions.peek(conn.session_id)
+        label = (session.fallback_label if session is not None
+                 else self.server.neutral_label)
+        self._send(conn, {
+            "type": "result", "seq": seq, "outcome": "shed",
+            "label": label, "emotion": None, "mode": None,
+            "shed": True, "degraded": True, "cached": False,
+            "tier": None, "latency_s": 0.0,
+        })
+
+    # -- the bridge: one executor hop per batch of ready windows -----------
+
+    async def _pump(self) -> None:
+        """Submit queued windows to the worker, one executor hop per batch.
+
+        Each hop takes everything queued so far, in arrival order.  A
+        window whose connection closed while it was queued is dropped
+        (unroutable) rather than submitted: submitting it would
+        re-create the session the teardown just evicted.  A connection
+        that closes *during* a hop is skipped by the worker from then
+        on, and its session is evicted only when the hop is back, so no
+        submit in that hop can resurrect it.  Exits once the daemon is
+        stopping and the queue is empty.
+        """
+        loop = asyncio.get_running_loop()
         obs = get_registry()
-        if len(conn.pending) >= self.config.max_inflight:
-            # In-flight gate: answer *now* with the session's degraded
-            # fallback instead of queueing — shed, never silently drop.
-            conn.shed += 1
-            self.daemon_shed += 1
-            obs.inc(labeled("daemon.shed", gate="inflight"))
-            session = self.server.sessions.peek(conn.session_id)
-            label = (session.fallback_label if session is not None
-                     else self.server.neutral_label)
-            self._send(conn, {
-                "type": "result", "seq": seq, "outcome": "shed",
-                "label": label, "emotion": None, "mode": None,
-                "shed": True, "degraded": True, "cached": False,
-                "tier": None, "latency_s": 0.0,
-            })
-            return
-        # Queue the client seq *before* the blocking submit: a
-        # flush-on-full may complete this very window, and its result is
-        # the last of this session's completed subsequence.
-        conn.pending.append(seq)
-        results = await self._run(
-            self.server.submit, conn.session_id, signal, now
-        )
-        self._dispatch(results, immediate_conn=conn, immediate_seq=seq)
+        while True:
+            if not self._queue:
+                if self._stopping:
+                    return
+                self._wake.clear()
+                await self._wake.wait()
+                continue
+            hop, self._queue = self._queue, []
+            # Only connections live now may defer their eviction to the
+            # end of this hop: a closed one's session id may already
+            # belong to a successor whose windows ride the same hop.
+            live = [item for item in hop if not item[0].closing]
+            self._unroutable(len(hop) - len(live))
+            if not live:
+                continue
+            obs.inc("daemon.hops")
+            self._hop_conns = {conn for conn, *_ in live}
+            try:
+                await loop.run_in_executor(
+                    self._executor, self._submit_hop, live, loop
+                )
+            finally:
+                hop_conns, self._hop_conns = self._hop_conns, set()
+            for conn in hop_conns:
+                if conn.closing:
+                    self._evict(conn)
+
+    def _submit_hop(self, hop: list, loop: asyncio.AbstractEventLoop) -> None:
+        """One hop on the worker thread: submit each window in order.
+
+        Whatever a submit answers goes back to the loop as soon as the
+        submit returns (``call_soon_threadsafe`` callbacks run FIFO, so
+        submission order holds), and no reply waits behind a later flush
+        in the same hop.  A window whose connection closed meanwhile is
+        not submitted; a submit that raises is answered with a shed.
+        """
+        for conn, seq, signal, now in hop:
+            if conn.closing:
+                loop.call_soon_threadsafe(self._unroutable)
+                continue
+            try:
+                results = self.server.submit(conn.session_id, signal, now)
+            except Exception:
+                # The pump serves every connection: one bad submit must
+                # not stop it.
+                logging.getLogger(__name__).exception(
+                    "submit failed for session %r", conn.session_id)
+                loop.call_soon_threadsafe(self._submit_failed, conn, seq)
+                continue
+            if results:
+                loop.call_soon_threadsafe(self._dispatch, results, conn, seq)
+
+    def _submit_failed(self, conn: _Connection, seq: int) -> None:
+        get_registry().inc("daemon.submit_errors")
+        try:
+            conn.pending.remove(seq)
+        except ValueError:
+            pass
+        self._shed(conn, seq, gate="error")
 
     # -- admission / preemption --------------------------------------------
 
@@ -431,14 +549,20 @@ class ReproDaemon:
         """Idempotent teardown: unroute, reap the session, close the pipe."""
         if conn.closing:
             return
-        conn.closing = True
+        conn.closing = reason
         if self._routes.get(conn.session_id) is conn:
             del self._routes[conn.session_id]
         # Reap, don't leak: the session dies with its connection.  Any
         # in-flight window completes against a detached stand-in (see
-        # AffectServer._finish) and is counted unroutable here.
-        self.server.sessions.evict(conn.session_id, reason=reason)
+        # AffectServer._finish) and is counted unroutable here.  While
+        # the worker may still be submitting this connection's windows,
+        # the pump evicts once the hop is back instead.
+        if conn not in self._hop_conns:
+            self._evict(conn)
         self._close_writer(conn.writer)
+
+    def _evict(self, conn: _Connection) -> None:
+        self.server.sessions.evict(conn.session_id, reason=conn.closing)
 
     def _close_writer(self, writer: asyncio.StreamWriter) -> None:
         try:
@@ -453,35 +577,39 @@ class ReproDaemon:
                   immediate_seq: int | None = None) -> None:
         """Route served results back to their connections, re-seq'd.
 
-        Runs synchronously (no awaits) after each server call so the
-        per-session FIFO pops happen in server-call order.  A result
-        whose outcome is not ``"completed"`` was answered inline by the
-        submit call itself and therefore belongs to ``immediate_seq``;
+        Runs synchronously (no awaits), once per server call and in
+        server-call order, so the per-session FIFO pops happen in
+        submission order.  A result whose outcome is not
+        ``"completed"`` was answered inline by the submit call itself
+        and therefore belongs to ``immediate_conn``/``immediate_seq``;
         completed results are flushes of pending windows and map to the
         connection's FIFO head.
         """
-        obs = get_registry()
         for result in results:
-            conn = self._routes.get(result.session_id)
-            if conn is None or conn.closing:
-                self.unroutable += 1
-                obs.inc("daemon.replies.unroutable")
+            immediate = (result.outcome != "completed"
+                         and immediate_conn is not None)
+            conn = (immediate_conn if immediate
+                    else self._routes.get(result.session_id))
+            if conn is None or conn.closing or not (immediate or conn.pending):
+                self._unroutable()
                 continue
-            if result.outcome != "completed" and conn is immediate_conn:
+            if immediate:
                 client_seq = immediate_seq
                 try:
                     conn.pending.remove(immediate_seq)
                 except ValueError:
                     pass
-            elif conn.pending:
-                client_seq = conn.pending.popleft()
             else:
-                self.unroutable += 1
-                obs.inc("daemon.replies.unroutable")
-                continue
+                client_seq = conn.pending.popleft()
             frame = protocol.result_frame(result)
             frame["seq"] = client_seq
             self._send(conn, frame)
+
+    def _unroutable(self, n: int = 1) -> None:
+        """Count replies (or windows) no live connection can receive."""
+        if n:
+            self.unroutable += n
+            get_registry().inc("daemon.replies.unroutable", n)
 
     def _send(self, conn: _Connection, frame: dict) -> None:
         if conn.closing:

@@ -276,11 +276,10 @@ def _workspace() -> _BatchWorkspace:
     return workspace
 
 
-#: Float64 bytes of frame rows processed per chunk (~2 MB).  The frame
-#: tensor for a whole flush can run to tens of MB; streaming the
-#: frame-wise stages through L2-resident chunks is ~2x faster than one
-#: monolithic pass over memory-bound intermediates (the chunk split is
-#: invisible in the output — every stage is frame-local).
+#: Float64 bytes of frame rows processed per chunk (~2 MB, rounded down
+#: to whole windows).  The frame tensor for a whole flush can run to tens
+#: of MB; streaming the frame-wise stages through L2-resident chunks is
+#: ~2x faster than one monolithic pass over memory-bound intermediates.
 _CHUNK_BYTES = 1 << 21
 
 
@@ -367,7 +366,11 @@ def _extract_group(
     rmse = np.empty(rows)
     pitch = np.empty(rows)
     mag_stats = np.empty((rows, 2))
-    chunk = max(1, _CHUNK_BYTES // (8 * n_fft))
+    # Chunks hold whole windows: the BLAS products in the MFCC tail may
+    # round differently for a short remainder block, so a window split
+    # across chunks (or sharing a short last chunk) would drift from
+    # the single path by ~1e-15.
+    chunk = max(1, _CHUNK_BYTES // (8 * n_fft * n_frames)) * n_frames
     for start in range(0, rows, chunk):
         end = min(start + chunk, rows)
         piece = flat[start:end]
@@ -419,8 +422,8 @@ def extract_feature_matrix_batch(
     cross-stage frame-count truncation of the per-window path cannot
     occur here by construction.
 
-    Numerics match the per-window path to float rounding (the serving
-    runtime's batch-vs-single parity gate pins this with ``allclose``).
+    Output is bitwise equal to the per-window path for every batch size
+    (``tests/test_dsp_batch.py`` pins this with ``array_equal``).
 
     Returns
     -------

@@ -1,9 +1,12 @@
-"""The network daemon: handshake, gates, preemption, reaping, admin plane."""
+"""The network daemon: handshake, gates, ingest queue, preemption, reaping, admin plane."""
 
 from __future__ import annotations
 
 import asyncio
 import json
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import pytest
 from repro.affect.pipeline import AffectClassifierPipeline
 from repro.daemon import protocol
 from repro.daemon.bench import _http_get, run_daemon_bench
+from repro.daemon.blas import blas_threads, set_blas_threads
 from repro.daemon.server import DaemonConfig, ReproDaemon
 from repro.datasets import emovo_like
 from repro.datasets.speech import synthesize_utterance
@@ -39,6 +43,25 @@ def make_daemon(pipeline, tmp_path, *, serve: dict | None = None,
     daemon_kwargs.setdefault("admin_port", 0)
     daemon_kwargs.setdefault("bundle_dir", str(tmp_path / "incidents"))
     return ReproDaemon(server, DaemonConfig(**daemon_kwargs))
+
+
+async def wait_until(predicate, timeout: float = 5.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.005)
+
+
+def block_worker(daemon: ReproDaemon) -> threading.Event:
+    """Park the daemon's single worker until the returned event is set."""
+    gate = threading.Event()
+    daemon._executor.submit(gate.wait, 10.0)
+    return gate
+
+
+def variants(wave: np.ndarray, n: int) -> list[np.ndarray]:
+    """Distinct windows (no cache hits, no in-batch dedup)."""
+    return [wave * (1.0 + 0.01 * k) for k in range(n)]
 
 
 class Client:
@@ -303,6 +326,294 @@ class TestAdmissionAndReaping:
                 await daemon.stop()
 
         asyncio.run(run())
+
+
+class TestIngestQueue:
+    """The queue-and-pump bridge: one executor hop per batch of windows."""
+
+    @pytest.mark.parametrize("ending",
+                             ["bye", "reset", "preempted", "takeover"])
+    def test_queued_window_of_ended_connection_is_never_submitted(
+            self, pipeline, wave, tmp_path, ending):
+        # One window is in a hop parked behind the blocked worker, the
+        # next still in the queue, when the connection ends.  Neither
+        # may be submitted: that would re-create the evicted session.
+        async def run():
+            daemon = make_daemon(
+                pipeline, tmp_path, monitor=False, max_connections=1,
+                serve={"max_batch": 64, "max_wait_s": 60.0},
+            )
+            await daemon.start()
+            gate = None
+            try:
+                client = Client()
+                await client.connect(daemon, "u-q")
+                w0, w1, w2 = variants(wave, 3)
+                client.send(protocol.window_frame(0, w0))
+                await wait_until(lambda: daemon.server.submitted == 1)
+                assert "u-q" in daemon.server.sessions
+                gate = block_worker(daemon)
+                client.send(protocol.window_frame(1, w1))
+                await wait_until(lambda: bool(daemon._hop_conns))
+                client.send(protocol.window_frame(2, w2))
+                await wait_until(lambda: len(daemon._queue) == 1)
+                if ending == "bye":
+                    client.send({"type": "bye"})
+                    await client.expect("goodbye")
+                elif ending == "reset":
+                    client.writer.transport.abort()
+                    await wait_until(lambda: not daemon.route_ids())
+                else:
+                    other = Client()
+                    await other.connect(
+                        daemon, "u-q" if ending == "takeover" else "u-x")
+                    bounced = await client.expect("preempted")
+                    assert bounced["reason"] == (
+                        "takeover" if ending == "takeover" else "capacity")
+                    other.close()
+                gate.set()
+                await wait_until(lambda: daemon.unroutable == 2)
+                await daemon._run(lambda: None)  # the hop has returned
+                assert daemon.server.submitted == 1
+                assert "u-q" not in daemon.server.sessions
+                assert daemon.server.sessions.created == 1
+                client.close()
+            finally:
+                if gate is not None:
+                    gate.set()
+                await daemon.stop()
+            # The first window is still answered exactly once (drained
+            # against a detached stand-in, reply unroutable).
+            assert daemon.server.dropped == 0
+            assert daemon.unroutable == 3
+
+        asyncio.run(run())
+
+    def test_stop_answers_every_queued_window(self, pipeline, wave,
+                                              tmp_path):
+        async def run():
+            daemon = make_daemon(
+                pipeline, tmp_path, monitor=False,
+                serve={"max_batch": 64, "max_wait_s": 60.0},
+            )
+            await daemon.start()
+            client = Client()
+            await client.connect(daemon, "u-stop")
+            gate = block_worker(daemon)
+            seqs = [4, 8, 15, 16]
+            frames = [protocol.window_frame(seq, window) for seq, window
+                      in zip(seqs, variants(wave, len(seqs)))]
+            client.send(frames[0])
+            await wait_until(lambda: bool(daemon._hop_conns))
+            for frame in frames[1:]:
+                client.send(frame)
+            await wait_until(lambda: len(daemon._queue) == len(seqs) - 1)
+            stopping = asyncio.create_task(daemon.stop())
+            await asyncio.sleep(0.05)
+            gate.set()
+            await stopping
+            replies = [await client.expect("result") for _ in seqs]
+            assert [r["seq"] for r in replies] == seqs
+            assert all(r["outcome"] == "completed" for r in replies)
+            assert daemon.server.submitted == len(seqs)
+            assert daemon.server.pending == 0
+            assert daemon.server.dropped == 0
+            client.close()
+
+        asyncio.run(run())
+
+    def test_reply_order_when_one_hop_spans_flushes(self, pipeline, wave,
+                                                    tmp_path):
+        # max_batch=2: the second hop's six windows trigger three
+        # flush-on-full.  Replies keep the client's order, and the first
+        # flush's replies go out while the worker is still in the hop.
+        async def run():
+            daemon = make_daemon(
+                pipeline, tmp_path, monitor=False,
+                serve={"max_batch": 2, "max_wait_s": 60.0},
+            )
+            await daemon.start()
+            try:
+                client = Client()
+                await client.connect(daemon, "u-order")
+                sent: list[int] = []
+                first_flush_out = threading.Event()
+                send = daemon._send
+
+                def spy(conn, frame):
+                    send(conn, frame)
+                    if frame.get("type") == "result":
+                        sent.append(frame["seq"])
+                        if len(sent) == 2:
+                            first_flush_out.set()
+
+                daemon._send = spy
+                submit = daemon.server.submit
+                waited: list[bool] = []
+
+                def submit_after_first_flush(session_id, signal, now):
+                    if daemon.server.submitted == 3:
+                        waited.append(first_flush_out.wait(5.0))
+                    return submit(session_id, signal, now)
+
+                daemon.server.submit = submit_after_first_flush
+                hops = get_registry().counter("daemon.hops")
+                hops_before = hops.value
+                gate = block_worker(daemon)
+                seqs = [5, 3, 9, 1, 7, 2, 11]
+                frames = [protocol.window_frame(seq, window) for seq, window
+                          in zip(seqs, variants(wave, len(seqs)))]
+                client.send(frames[0])
+                await wait_until(lambda: bool(daemon._hop_conns))
+                for frame in frames[1:]:
+                    client.send(frame)
+                await wait_until(lambda: len(daemon._queue) == len(seqs) - 1)
+                gate.set()
+                replies = [await client.expect("result") for _ in seqs[:6]]
+                assert [r["seq"] for r in replies] == seqs[:6]
+                assert sent == seqs[:6]
+                assert waited == [True]
+                assert hops.value - hops_before == 2
+                client.close()
+            finally:
+                await daemon.stop()
+
+        asyncio.run(run())
+
+
+    def test_failed_submit_is_shed_and_pump_keeps_serving(
+            self, pipeline, wave, tmp_path):
+        async def run():
+            daemon = make_daemon(pipeline, tmp_path, monitor=False,
+                                 serve={"max_batch": 1})
+            await daemon.start()
+            try:
+                submit = daemon.server.submit
+                calls = []
+
+                def flaky(session_id, signal, now):
+                    calls.append(session_id)
+                    if len(calls) == 1:
+                        raise RuntimeError("injected submit failure")
+                    return submit(session_id, signal, now)
+
+                daemon.server.submit = flaky
+                client = Client()
+                await client.connect(daemon, "u-flaky")
+                client.send(protocol.window_frame(0, wave))
+                failed = await client.expect("result")
+                assert failed["seq"] == 0 and failed["outcome"] == "shed"
+                client.send(protocol.window_frame(1, wave))
+                served = await client.expect("result")
+                assert served["seq"] == 1
+                assert served["outcome"] == "completed"
+                errors = get_registry().counter(
+                    labeled("daemon.shed", gate="error"))
+                assert errors.value >= 1
+                client.close()
+            finally:
+                await daemon.stop()
+
+        asyncio.run(run())
+
+    def test_concurrent_endings_never_resurrect(self, pipeline, wave,
+                                                tmp_path):
+        # Clients stream windows and end mid-stream (bye, reset, or a
+        # takeover by the next client on the same session id) while
+        # hops and flushes run, with the worker and the loop switching
+        # every few microseconds.  No session may outlive its
+        # connection, nothing may be dropped, no seq answered twice.
+        async def run():
+            daemon = make_daemon(
+                pipeline, tmp_path, monitor=False, max_inflight=64,
+                serve={"max_batch": 4, "max_wait_s": 0.02},
+            )
+            await daemon.start()
+            windows = variants(wave, 6)
+            rng = random.Random(0)
+            duplicates = []
+
+            async def one(i: int) -> None:
+                client = Client()
+                await client.connect(daemon, f"u-{i % 4}")
+                n, pause, bye = (rng.randint(1, 10), rng.random() * 0.03,
+                                 rng.random() < 0.5)
+                try:
+                    for seq in range(n):
+                        client.send(protocol.window_frame(
+                            seq, windows[(i + seq) % len(windows)]))
+                    await asyncio.sleep(pause)
+                    if bye:
+                        client.send({"type": "bye"})
+                    else:
+                        client.writer.transport.abort()
+                except ConnectionError:
+                    pass  # a takeover closed this connection first
+                seqs = []
+                try:
+                    while (frame := await client.recv(10.0)) is not None:
+                        if frame["type"] == "result":
+                            seqs.append(frame["seq"])
+                except ConnectionError:
+                    pass
+                duplicates.extend(seq for seq in set(seqs)
+                                  if seqs.count(seq) > 1)
+                client.close()
+
+            try:
+                await asyncio.wait_for(
+                    asyncio.gather(*(one(i) for i in range(24))), 60.0)
+                await wait_until(lambda: not (daemon.route_ids()
+                                              or daemon._queue
+                                              or daemon._hop_conns))
+                await daemon._run(lambda: None)
+                assert len(daemon.server.sessions) == 0
+            finally:
+                await daemon.stop()
+            assert duplicates == []
+            assert daemon.server.dropped == 0
+            assert len(daemon.server.sessions) == 0
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            asyncio.run(run())
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestBlasPin:
+    @pytest.mark.parametrize("explicit, serving", [(None, 1), ("3", 3)])
+    def test_start_pins_one_thread_and_stop_restores(
+            self, pipeline, tmp_path, monkeypatch, explicit, serving):
+        # Without OPENBLAS_NUM_THREADS the pool is pinned to one thread
+        # while serving; an explicit setting is left alone.
+        if blas_threads() is None:
+            pytest.skip("no controllable OpenBLAS loaded")
+        if explicit is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", explicit)
+        original = set_blas_threads(3)
+
+        async def run():
+            daemon = make_daemon(pipeline, tmp_path, monitor=False)
+            await daemon.start()
+            try:
+                assert blas_threads() == serving
+                status, body = await _http_get(
+                    daemon.config.host, daemon.admin_port, "/healthz"
+                )
+                assert status == 200
+                assert json.loads(body)["blas_threads"] == serving
+            finally:
+                await daemon.stop()
+            assert blas_threads() == 3
+
+        try:
+            asyncio.run(run())
+        finally:
+            set_blas_threads(original)
 
 
 class TestAdminPlane:

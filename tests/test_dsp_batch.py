@@ -61,6 +61,18 @@ class TestBatchSingleParity:
             assert np.array_equal(matrix, extract_feature_matrix(signal,
                                                                  config))
 
+    def test_exact_parity_for_every_batch_size(self):
+        # Flush sizes vary with load; a 0.9 s window gives 56 frames,
+        # which does not divide the ~2 MB row chunk, so batches of 19
+        # and 28 once left a short last chunk that drifted by ~1e-15.
+        config = FeatureConfig()
+        signals = [_signal(14400, seed=i) for i in range(32)]
+        singles = [extract_feature_matrix(s, config) for s in signals]
+        for size in range(1, len(signals) + 1):
+            batched = extract_feature_matrix_batch(signals[:size], config)
+            for single, matrix in zip(singles, batched):
+                assert np.array_equal(matrix, single), size
+
     def test_frame_counts_match_frame_count_helper(self):
         config = FeatureConfig()
         for n in (16000, 8000, 513, 512, 300, 1):
