@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.daemon import protocol
 from repro.errors import ProtocolError
+from repro.serve.bench import _quantiles
 
 #: Wall seconds between one client's consecutive windows.
 BENCH_PERIOD_S = 0.25
@@ -46,18 +47,6 @@ def _wire_window(seq: int, signal_b64: str) -> bytes:
     return (
         f'{{"seq":{seq},"signal":"{signal_b64}","type":"window"}}\n'
     ).encode("ascii")
-
-
-def _quantiles(values: list[float]) -> dict[str, float]:
-    if not values:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0}
-    array = np.asarray(values)
-    return {
-        "p50": float(np.quantile(array, 0.50)),
-        "p95": float(np.quantile(array, 0.95)),
-        "p99": float(np.quantile(array, 0.99)),
-        "mean": float(array.mean()),
-    }
 
 
 async def _http_get(host: str, port: int, path: str,

@@ -20,6 +20,7 @@ from repro.dsp.windows import (
     frame_count,
     frame_signal,
     frame_signal_batch,
+    padded_length,
 )
 from repro.errors import SensorError
 from repro.obs import Timer, get_registry
@@ -242,27 +243,43 @@ def extract_feature_matrix(
 class _BatchWorkspace:
     """Per-thread scratch buffers for the batched feature front end.
 
-    Every flush re-frames a fresh batch of windows; the frame tensor,
-    windowed product, and de-meaned pitch input are the three large
-    intermediates, so they are materialized into buffers that persist
-    across calls and only grow.  One workspace per thread (via
-    ``threading.local``) keeps concurrent extractions race-free without
-    a lock on the hot path.
+    Every large intermediate of a chunk — the padded signal block, the
+    frames, the 512- and 1024-point spectra, magnitude, power and ACF —
+    is written with ``out=`` into a named buffer that persists across
+    calls and only grows.  Stages that run one after another share a
+    name (see :func:`_extract_chunk`), and a chunk holds a bounded
+    number of windows, so the workspace stops growing after the first
+    chunk instead of scaling with flush size.  One workspace per thread
+    (via ``threading.local``) keeps concurrent extractions race-free
+    without a lock on the hot path.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
 
-    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A float64 scratch array of ``shape``, reused between calls."""
-        n = 1
+    @property
+    def nbytes(self) -> int:
+        """Bytes held across all buffers."""
+        return sum(buffer.nbytes for buffer in self._buffers.values())
+
+    def get(
+        self, name: str, shape: tuple[int, ...], dtype: type = np.float64
+    ) -> np.ndarray:
+        """A scratch array of ``shape`` and ``dtype``, reused between calls.
+
+        Buffers are float64 underneath; a complex128 request views two
+        float64 slots per element, so one name can hold a complex
+        spectrum in one stage and a real array in the next.
+        """
+        itemsize = np.dtype(dtype).itemsize
+        n = itemsize // 8
         for dim in shape:
             n *= dim
         buffer = self._buffers.get(name)
         if buffer is None or buffer.size < n:
             buffer = np.empty(n, dtype=np.float64)
             self._buffers[name] = buffer
-        return buffer[:n].reshape(shape)
+        return buffer[:n].view(dtype).reshape(shape)
 
 
 _workspaces = threading.local()
@@ -276,11 +293,14 @@ def _workspace() -> _BatchWorkspace:
     return workspace
 
 
-#: Float64 bytes of frame rows processed per chunk (~2 MB, rounded down
-#: to whole windows).  The frame tensor for a whole flush can run to tens
-#: of MB; streaming the frame-wise stages through L2-resident chunks is
-#: ~2x faster than one monolithic pass over memory-bound intermediates.
-_CHUNK_BYTES = 1 << 21
+#: Float64 bytes of frames per chunk (~0.5 MB: two 0.9 s windows),
+#: rounded down to whole windows and never below one.  This bounds the
+#: workspace (~7x the frames across all stages: 3.2 MB for two 0.9 s
+#: windows) whatever the flush size.  Intermediates built fresh for
+#: every chunk cost the daemon ~390 minor page faults per window,
+#: against ~3 with the workspace.  One-window chunks ran 3-6% slower
+#: (per-chunk Python overhead), four-window ones no faster.
+_CHUNK_BYTES = 1 << 19
 
 
 def _pitch_from_frames(
@@ -292,19 +312,32 @@ def _pitch_from_frames(
     fmax: float,
     workspace: _BatchWorkspace,
 ) -> None:
-    """Vectorized :func:`pitch_track` over a ``(rows, len)`` frame chunk."""
+    """Vectorized :func:`pitch_track` over a ``(rows, len)`` frame chunk.
+
+    Uses the workspace's ``scratch``, ``spectrum`` and ``power``
+    buffers; the ACF overwrites the spectrum once its power is taken.
+    """
     lag_min = max(1, int(sample_rate / fmax))
     lag_max = min(frame_length - 1, int(sample_rate / fmin))
     out[:] = 0.0
-    if lag_max <= lag_min or frames.shape[0] == 0:
+    rows = frames.shape[0]
+    if lag_max <= lag_min or rows == 0:
         return
-    demeaned = workspace.get("pitch_demeaned", frames.shape)
+    demeaned = workspace.get("scratch", frames.shape)
     np.subtract(frames, frames.mean(axis=-1, keepdims=True), out=demeaned)
     n_pad = 2 * frame_length
-    spectrum = np.fft.rfft(demeaned, n=n_pad, axis=-1)
-    acf = np.fft.irfft(
-        np.abs(spectrum) ** 2, n=n_pad, axis=-1
-    )[..., :frame_length]
+    n_bins = n_pad // 2 + 1
+    spectrum = workspace.get("spectrum", (rows, n_bins), np.complex128)
+    np.fft.rfft(demeaned, n=n_pad, axis=-1, out=spectrum)
+    # irfft takes complex input: handing it the power as a complex array
+    # with a zero imaginary part skips the full-size cast copy numpy
+    # makes of a real one, and feeds it the same values.
+    power = workspace.get("power", (rows, n_bins), np.complex128)
+    np.abs(spectrum, out=power.real)
+    np.multiply(power.real, power.real, out=power.real)
+    power.imag = 0.0
+    acf = workspace.get("spectrum", (rows, n_pad))
+    np.fft.irfft(power, n=n_pad, axis=-1, out=acf)
     energy = acf[..., 0]
     search = acf[..., lag_min : lag_max + 1]
     best_lag = np.argmax(search, axis=-1) + lag_min
@@ -335,77 +368,94 @@ def _zcr_from_frames(frames: np.ndarray, out: np.ndarray) -> None:
     )
 
 
+def _extract_chunk(
+    signals: list[np.ndarray],
+    out: np.ndarray,
+    config: FeatureConfig,
+    workspace: _BatchWorkspace,
+) -> None:
+    """Write the base feature columns of equal-length windows into ``out``.
+
+    ``out`` is the ``(windows * n_frames, n_features)`` row slice of the
+    group's result.  The windows are framed once and one ``rfft`` over
+    the Hann-windowed frames feeds both the MFCC power path and the
+    magnitude statistics.  Buffers are shared by stages that never
+    overlap: ``scratch`` holds the windowed frames, then the squared
+    frames for RMS, then pitch's de-meaned frames; ``spectrum`` holds
+    the 512-point spectrum, then pitch's 1024-point spectrum and ACF;
+    ``power`` the 512-point power, then pitch's 1024-point power.
+    """
+    n_fft, hop, k = config.n_fft, config.hop_length, config.n_mfcc
+    count, rows = len(signals), out.shape[0]
+    n_frames, n_samples = rows // count, signals[0].shape[0]
+    frames = frame_signal_batch(
+        signals, n_fft, hop,
+        out=workspace.get("frames", (count, n_frames, n_fft)),
+        padded=workspace.get(
+            "padded", (count, padded_length(n_samples, n_fft, hop))
+        ),
+    ).reshape(rows, n_fft)
+
+    windowed = workspace.get("scratch", (rows, n_fft))
+    np.multiply(frames, _hann_window_cached(n_fft), out=windowed)
+    n_bins = n_fft // 2 + 1
+    spectrum = workspace.get("spectrum", (rows, n_bins), np.complex128)
+    np.fft.rfft(windowed, n=n_fft, axis=-1, out=spectrum)
+    mag = workspace.get("magnitude", (rows, n_bins))
+    np.abs(spectrum, out=mag)
+    power = workspace.get("power", (rows, n_bins))
+    np.multiply(mag, mag, out=power)
+    out[:, :k] = mfcc_from_power(
+        power, config.sample_rate,
+        n_mfcc=k, n_mels=config.n_mels, n_fft=n_fft,
+    )
+    out[:, k + 3] = mag.mean(axis=-1)
+    out[:, k + 4] = mag.std(axis=-1)
+
+    _zcr_from_frames(frames, out[:, k])
+    squared = workspace.get("scratch", (rows, n_fft))
+    np.multiply(frames, frames, out=squared)
+    np.sqrt(squared.mean(axis=-1), out=out[:, k + 1])
+    pitch = out[:, k + 2]
+    _pitch_from_frames(
+        frames, pitch, config.sample_rate, n_fft,
+        config.pitch_fmin, config.pitch_fmax, workspace,
+    )
+    np.divide(pitch, 100.0, out=pitch)
+
+
 def _extract_group(
-    stack: np.ndarray, config: FeatureConfig
+    signals: list[np.ndarray], config: FeatureConfig
 ) -> np.ndarray:
     """Batched feature tensor for equal-length signals.
 
-    The heart of the batched front end: all windows are framed *once*
-    through one strided frame tensor (the per-window path re-frames the
-    signal five times — once per stage), and one batched ``rfft`` over
-    the Hann-windowed frames feeds both the MFCC power path and the
-    magnitude statistics.  The frame-wise stages then stream through
-    cache-resident row chunks.
+    Runs :func:`_extract_chunk` over chunks of whole windows sized by
+    :data:`_CHUNK_BYTES`, writing straight into the result.  Chunks hold
+    whole windows because the BLAS products in the MFCC tail may round
+    differently for a different row count: a window split across chunks
+    drifts from the single path by ~1e-15, while a chunk of whole
+    windows gives each window its single-path bits.
 
     Returns an array of shape ``(batch, n_frames, config.n_features)``.
     """
     workspace = _workspace()
-    n_fft, hop = config.n_fft, config.hop_length
-    batch, n_samples = stack.shape
-    n_frames = frame_count(n_samples, n_fft, hop)
-    frames = frame_signal_batch(
-        stack, n_fft, hop,
-        out=workspace.get("frames", (batch, n_frames, n_fft)),
-    )
-    rows = batch * n_frames
-    flat = frames.reshape(rows, n_fft)
-    window = _hann_window_cached(n_fft)
-
-    cepstra = np.empty((rows, config.n_mfcc))
-    zcr = np.empty(rows)
-    rmse = np.empty(rows)
-    pitch = np.empty(rows)
-    mag_stats = np.empty((rows, 2))
-    # Chunks hold whole windows: the BLAS products in the MFCC tail may
-    # round differently for a short remainder block, so a window split
-    # across chunks (or sharing a short last chunk) would drift from
-    # the single path by ~1e-15.
-    chunk = max(1, _CHUNK_BYTES // (8 * n_fft * n_frames)) * n_frames
-    for start in range(0, rows, chunk):
-        end = min(start + chunk, rows)
-        piece = flat[start:end]
-        windowed = workspace.get("windowed", piece.shape)
-        np.multiply(piece, window, out=windowed)
-        mag = np.abs(np.fft.rfft(windowed, n=n_fft, axis=-1))
-        power = mag**2
-        cepstra[start:end] = mfcc_from_power(
-            power, config.sample_rate,
-            n_mfcc=config.n_mfcc, n_mels=config.n_mels, n_fft=n_fft,
-        )
-        mag_stats[start:end, 0] = mag.mean(axis=-1)
-        mag_stats[start:end, 1] = mag.std(axis=-1)
-        _zcr_from_frames(piece, zcr[start:end])
-        np.sqrt(np.mean(piece**2, axis=-1), out=rmse[start:end])
-        _pitch_from_frames(
-            piece, pitch[start:end], config.sample_rate, n_fft,
-            config.pitch_fmin, config.pitch_fmax, workspace,
-        )
-
-    shape = (batch, n_frames)
-    columns = [
-        cepstra.reshape(*shape, config.n_mfcc),
-        zcr.reshape(*shape, 1),
-        rmse.reshape(*shape, 1),
-        pitch.reshape(*shape, 1) / 100.0,
-        mag_stats.reshape(*shape, 2),
-    ]
+    batch = len(signals)
+    n_frames = frame_count(signals[0].shape[0], config.n_fft,
+                           config.hop_length)
+    flat = np.empty((batch * n_frames, config.n_features))
+    per_chunk = max(1, _CHUNK_BYTES // (8 * config.n_fft * n_frames))
+    for start in range(0, batch, per_chunk):
+        stop = min(start + per_chunk, batch)
+        _extract_chunk(signals[start:stop],
+                       flat[start * n_frames : stop * n_frames],
+                       config, workspace)
+    out = flat.reshape(batch, n_frames, config.n_features)
     if config.deltas:
-        mfccs = columns[0]
-        deltas = np.zeros_like(mfccs)
-        if n_frames > 1:
-            deltas[:, 1:] = np.diff(mfccs, axis=1)
-        columns.append(deltas)
-    return np.concatenate(columns, axis=-1)
+        k = config.n_mfcc
+        deltas = out[..., k + 5:]
+        deltas[:, 0] = 0.0
+        np.subtract(out[:, 1:, :k], out[:, :-1, :k], out=deltas[:, 1:])
+    return out
 
 
 def extract_feature_matrix_batch(
@@ -415,9 +465,10 @@ def extract_feature_matrix_batch(
 ) -> list[np.ndarray]:
     """Batched :func:`extract_feature_matrix` over many windows at once.
 
-    Signals are grouped by length, each group framed through one strided
-    frame tensor and one batched ``rfft`` (instead of five framings and
-    per-stage FFTs per window), with scratch buffers reused across
+    Signals are grouped by length and each group runs in chunks of whole
+    windows: one strided frame tensor and one batched ``rfft`` per chunk
+    (instead of five framings and per-stage FFTs per window), with every
+    large intermediate written into per-thread buffers reused across
     flushes.  Every stage reads the *same* frame tensor, so the
     cross-stage frame-count truncation of the per-window path cannot
     occur here by construction.
@@ -453,8 +504,7 @@ def extract_feature_matrix_batch(
                 for i in indices:
                     results[i] = empty
                 continue
-            stack = np.stack([cleaned[i] for i in indices])
-            group = _extract_group(stack, config)
+            group = _extract_group([cleaned[i] for i in indices], config)
             total_frames += group.shape[0] * group.shape[1]
             for row, i in enumerate(indices):
                 results[i] = group[row]

@@ -98,6 +98,23 @@ def mfcc_from_power(
     return dct_ii(log_mel, n_out=n_mfcc)
 
 
+@lru_cache(maxsize=32)
+def _dct_ii_basis(n: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Memoized, read-only cosine basis and scale of :func:`dct_ii`.
+
+    The batched front end calls :func:`dct_ii` once per chunk with the
+    same shape, so the basis is built once per ``(n, n_out)``.
+    """
+    k = np.arange(n_out)[:, None]
+    m = np.arange(n)[None, :]
+    basis = np.cos(np.pi * k * (2 * m + 1) / (2.0 * n))
+    scale = np.full(n_out, np.sqrt(2.0 / n))
+    scale[0] = np.sqrt(1.0 / n)
+    basis.setflags(write=False)
+    scale.setflags(write=False)
+    return basis, scale
+
+
 def dct_ii(x: np.ndarray, n_out: int | None = None) -> np.ndarray:
     """Orthonormal DCT-II along the last axis.
 
@@ -108,11 +125,7 @@ def dct_ii(x: np.ndarray, n_out: int | None = None) -> np.ndarray:
     n = x.shape[-1]
     if n_out is None:
         n_out = n
-    k = np.arange(n_out)[:, None]
-    m = np.arange(n)[None, :]
-    basis = np.cos(np.pi * k * (2 * m + 1) / (2.0 * n))
-    scale = np.full(n_out, np.sqrt(2.0 / n))
-    scale[0] = np.sqrt(1.0 / n)
+    basis, scale = _dct_ii_basis(n, n_out)
     return (x @ basis.T) * scale
 
 

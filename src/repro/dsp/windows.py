@@ -91,54 +91,74 @@ def frame_count(n_samples: int, frame_length: int, hop_length: int) -> int:
     )
 
 
+def padded_length(n_samples: int, frame_length: int, hop_length: int) -> int:
+    """Samples :func:`frame_signal` pads ``n_samples`` to with ``pad=True``."""
+    n_frames = frame_count(n_samples, frame_length, hop_length)
+    return (n_frames - 1) * hop_length + frame_length if n_frames else 0
+
+
 def frame_signal_batch(
-    signals: np.ndarray,
+    signals: np.ndarray | list[np.ndarray] | tuple[np.ndarray, ...],
     frame_length: int,
     hop_length: int,
     out: np.ndarray | None = None,
+    padded: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Slice a ``(batch, n_samples)`` stack into overlapping frames at once.
+    """Slice equal-length signals into overlapping frames at once.
 
     Equivalent to stacking :func:`frame_signal` (with ``pad=True``) over
     the batch axis, but frames every signal through one strided view of a
-    single zero-padded buffer — the framing cost is paid once per batch,
+    single zero-padded block — the framing cost is paid once per batch,
     not once per signal per feature stage.
 
     Parameters
     ----------
     signals:
-        Two-dimensional ``(batch, n_samples)`` sample stack.
+        A ``(batch, n_samples)`` stack or a sequence of equal-length 1-D
+        signals; rows are copied straight into the padded block, so a
+        sequence is never stacked first.
     out:
         Optional preallocated ``(batch, n_frames, frame_length)`` float64
-        buffer the frames are materialized into (reused across flushes by
-        the batched feature front end).
+        buffer the frames are materialized into.
+    padded:
+        Optional preallocated ``(batch, padded_length(n_samples, ...))``
+        float64 buffer for the zero-padded block.  The batched feature
+        front end passes both buffers from its per-thread workspace, so
+        framing a chunk allocates nothing.
 
     Returns
     -------
     Array of shape ``(batch, n_frames, frame_length)``.
     """
-    signals = np.asarray(signals, dtype=np.float64)
-    if signals.ndim != 2:
+    if isinstance(signals, np.ndarray) and signals.ndim != 2:
         raise ValueError("signals must be a (batch, n_samples) stack")
     if frame_length < 1 or hop_length < 1:
         raise ValueError("frame_length and hop_length must be >= 1")
-    batch, n = signals.shape
+    rows = [np.asarray(signal, dtype=np.float64) for signal in signals]
+    batch = len(rows)
+    n = rows[0].shape[0] if rows else 0
+    if any(row.shape != (n,) for row in rows):
+        raise ValueError("signals must be 1-D and of equal length")
     if n == 0:
         return np.zeros((batch, 0, frame_length))
     n_frames = frame_count(n, frame_length, hop_length)
-    needed = (n_frames - 1) * hop_length + frame_length
-    if needed > n:
-        padded = np.zeros((batch, needed))
-        padded[:, :n] = signals
-    else:
-        padded = signals
+    width = padded_length(n, frame_length, hop_length)
+    if padded is None:
+        padded = np.empty((batch, width))
+    elif padded.shape != (batch, width):
+        raise ValueError(
+            f"padded must have shape {(batch, width)}, got {padded.shape}"
+        )
+    for i, row in enumerate(rows):
+        padded[i, :n] = row
+    padded[:, n:] = 0.0
     view = np.lib.stride_tricks.sliding_window_view(
         padded, frame_length, axis=1
     )[:, ::hop_length]
     shape = (batch, n_frames, frame_length)
-    if out is not None:
-        if out.shape != shape:
-            raise ValueError(f"out must have shape {shape}, got {out.shape}")
-        np.copyto(out, view)
-        return out
-    return np.ascontiguousarray(view)
+    if out is None:
+        return np.ascontiguousarray(view)
+    if out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, got {out.shape}")
+    np.copyto(out, view)
+    return out

@@ -10,6 +10,9 @@ workspace reuse the hot path depends on.
 
 from __future__ import annotations
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,9 +65,10 @@ class TestBatchSingleParity:
                                                                  config))
 
     def test_exact_parity_for_every_batch_size(self):
-        # Flush sizes vary with load; a 0.9 s window gives 56 frames,
-        # which does not divide the ~2 MB row chunk, so batches of 19
-        # and 28 once left a short last chunk that drifted by ~1e-15.
+        # Flush sizes vary with load.  Chunks hold two 0.9 s windows
+        # (56 frames each), so an odd batch ends in a one-window chunk;
+        # when chunks were cut at a fixed row count instead, batches of
+        # 19 and 28 left a short last block that drifted by ~1e-15.
         config = FeatureConfig()
         signals = [_signal(14400, seed=i) for i in range(32)]
         singles = [extract_feature_matrix(s, config) for s in signals]
@@ -162,10 +166,50 @@ class TestBatchMetricsAndWorkspace:
         assert np.shares_memory(first, again)
         smaller = workspace.get("probe", (16, 8))
         assert np.shares_memory(first, smaller)
+        complex_view = workspace.get("probe", (16, 8), np.complex128)
+        assert complex_view.dtype == np.complex128
+        assert np.shares_memory(first, complex_view)
+
+    def test_warm_batch_allocates_little_beyond_its_outputs(self):
+        # Every large intermediate is written into the workspace, so a
+        # warm flush allocates about its outputs plus small per-chunk
+        # temporaries; building them fresh per ~2 MB chunk peaked at
+        # 19.5 MB for these 32 windows.
+        config = FeatureConfig()
+        signals = [_signal(14400, seed=i) for i in range(32)]
+        extract_feature_matrix_batch(signals, config)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            batched = extract_feature_matrix_batch(signals, config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        outputs = sum(matrix.nbytes for matrix in batched)
+        assert peak - outputs < 1 << 20, (peak, outputs)
+
+    def test_workspace_does_not_grow_with_flush_size(self):
+        config = FeatureConfig()
+        signals = [_signal(14400, seed=i) for i in range(32)]
+        sizes = []
+
+        def extract():
+            for size in (2, 32):
+                extract_feature_matrix_batch(signals[:size], config)
+                sizes.append(features_module._workspace().nbytes)
+
+        # A fresh thread starts from an empty workspace.
+        thread = threading.Thread(target=extract)
+        thread.start()
+        thread.join()
+        assert len(sizes) == 2
+        assert sizes[0] == sizes[1] > 0
 
     def test_workspace_is_per_thread(self):
-        import threading
-
         workspaces = []
 
         def grab():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsp.windows import frame_signal, hamming_window, hann_window
+from repro.dsp.windows import (
+    frame_signal,
+    frame_signal_batch,
+    hamming_window,
+    hann_window,
+    padded_length,
+)
 
 
 class TestWindows:
@@ -93,3 +99,38 @@ class TestFrameSignal:
                     if value > 0:
                         flattened.add(value)
             assert flattened == set(signal.tolist())
+
+
+class TestFrameSignalBatch:
+    @given(
+        n=st.integers(1, 120),
+        frame=st.integers(1, 32),
+        hop=st.integers(1, 32),
+        batch=st.integers(1, 4),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_property_matches_stacked_frame_signal(self, n, frame, hop,
+                                                   batch):
+        rng = np.random.default_rng(n)
+        signals = [rng.standard_normal(n) for _ in range(batch)]
+        expected = np.stack([frame_signal(s, frame, hop) for s in signals])
+        # Reused buffers hold stale data, so the padded tail must be
+        # zeroed on every call.
+        padded = np.full((batch, padded_length(n, frame, hop)), np.nan)
+        out = np.full(expected.shape, np.nan)
+        framed = frame_signal_batch(signals, frame, hop, out=out,
+                                    padded=padded)
+        assert framed is out
+        assert np.array_equal(framed, expected)
+        stacked = frame_signal_batch(np.stack(signals), frame, hop)
+        assert np.array_equal(stacked, expected)
+
+    def test_rejects_bad_input_and_buffers(self):
+        with pytest.raises(ValueError):
+            frame_signal_batch(np.ones(8), 4, 2)
+        with pytest.raises(ValueError):
+            frame_signal_batch([np.ones(8), np.ones(7)], 4, 2)
+        with pytest.raises(ValueError):
+            frame_signal_batch([np.ones(8)], 4, 2, padded=np.empty((1, 4)))
+        with pytest.raises(ValueError):
+            frame_signal_batch([np.ones(8)], 4, 2, out=np.empty((1, 2, 4)))
