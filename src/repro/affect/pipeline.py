@@ -78,8 +78,7 @@ class AffectClassifierPipeline:
         test_fraction: float = 0.3,
     ) -> dict[str, float]:
         """Train on a stratified split; returns train/test accuracy."""
-        with Timer("affect.pipeline.train_s", span=True,
-                   attrs={"architecture": self.architecture}):
+        with Timer("affect.pipeline.train_s"):
             x_train, y_train, x_test, y_test = corpus.split(
                 test_fraction=test_fraction, seed=self.seed
             )
@@ -173,8 +172,7 @@ class AffectClassifierPipeline:
         clf = self._require_trained()
         if not signals:
             return np.empty(0, dtype=object)
-        with Timer("affect.pipeline.classify_s", span=True,
-                   attrs={"batch": len(signals)}):
+        with Timer("affect.pipeline.classify_s"):
             x = self.prepare_waveforms(signals)
             labels = clf.model.predict(x)
             return np.array([clf.label_names[int(i)] for i in labels])

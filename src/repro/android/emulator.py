@@ -138,9 +138,7 @@ class AndroidEmulator:
         # stage(): nests the replay under any in-flight trace and feeds
         # the profiler's per-stage attribution; standalone runs stay
         # span-free (no root trace per simulation).
-        with Timer("android.emulator.run_s", span=True,
-                   attrs={"policy": self.policy.name,
-                          "events": len(events)}), \
+        with Timer("android.emulator.run_s"), \
                 get_tracer().stage("android.emulator.run",
                                    attrs={"policy": self.policy.name,
                                           "events": len(events)}):

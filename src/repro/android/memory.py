@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from repro.android.app import AppSpec
 
@@ -17,11 +18,21 @@ class MemoryModel:
 
     capacity_mb: float = 4096.0
     system_reserved_mb: float = 1024.0
-    used_mb: float = 0.0
+    #: Footprint of every resident allocation.
+    resident_mb: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.system_reserved_mb >= self.capacity_mb:
             raise ValueError("reserved memory must be below capacity")
+
+    @property
+    def used_mb(self) -> float:
+        """RAM held by resident apps, summed exactly.
+
+        A running float total drifts: releasing every app could leave a
+        residue such as 1e-12 MB "used".
+        """
+        return math.fsum(self.resident_mb)
 
     @property
     def available_mb(self) -> float:
@@ -36,13 +47,13 @@ class MemoryModel:
         """Charge the app's footprint against RAM."""
         if not self.can_fit(app):
             raise MemoryError(f"no RAM for {app.name} ({app.ram_mb} MB)")
-        self.used_mb += app.ram_mb
+        self.resident_mb.append(app.ram_mb)
 
     def release(self, app: AppSpec) -> None:
         """Return the app's footprint to the free pool."""
-        if app.ram_mb > self.used_mb + 1e-9:
+        if app.ram_mb not in self.resident_mb:
             raise ValueError(f"releasing more than allocated for {app.name}")
-        self.used_mb = max(0.0, self.used_mb - app.ram_mb)
+        self.resident_mb.remove(app.ram_mb)
 
 
 @dataclass

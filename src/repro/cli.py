@@ -567,6 +567,7 @@ def _profile(args: argparse.Namespace) -> None:
 
 def _daemon(args: argparse.Namespace) -> None:
     import asyncio
+    import signal
 
     from repro.daemon.server import DaemonConfig, ReproDaemon
     from repro.obs import get_registry
@@ -586,6 +587,14 @@ def _daemon(args: argparse.Namespace) -> None:
 
     async def _serve() -> None:
         await daemon.start()
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            # On the loop, not Python's default SIGINT handler: either
+            # signal drains and stops the daemon, even one started with
+            # SIGINT ignored (a background job of a non-interactive
+            # shell).
+            loop.add_signal_handler(signum, stop.set)
         print(f"ingest:  {config.host}:{daemon.port} "
               "(newline-delimited JSON, see repro.daemon.protocol)")
         print(f"admin:   http://{config.host}:{daemon.admin_port}"
@@ -593,14 +602,15 @@ def _daemon(args: argparse.Namespace) -> None:
         print(f"gates:   {config.max_connections} connections, "
               f"{config.max_inflight} in-flight windows per session")
         try:
-            await daemon.serve_forever()
+            await stop.wait()
         finally:
             await daemon.stop()
 
     try:
         asyncio.run(_serve())
     except KeyboardInterrupt:
-        print("daemon stopped")
+        pass
+    print("daemon stopped")
 
 
 def _daemon_bench(args: argparse.Namespace) -> None:

@@ -66,13 +66,19 @@ from repro.daemon.blas import blas_threads, set_blas_threads
 from repro.errors import ProtocolError
 from repro.obs import get_registry, labeled
 from repro.obs.monitor import make_monitor
-from repro.obs.prof import (
-    DEFAULT_INTERVAL_S,
-    HeapProfiler,
-    ProfileRecorder,
-    StackSampler,
-)
+from repro.obs.prof import HeapProfiler, ProfileRecorder, StackSampler
 from repro.serve.runtime import AffectServer, ServeResult
+
+#: Wall period of the poll loop (deadline flushes, idle eviction, alert
+#: sampling).
+POLL_PERIOD_S = 0.02
+#: A connection must complete its hello within this budget.
+HELLO_TIMEOUT_S = 5.0
+#: Largest socket read per call.  Frames are capped at
+#: ``protocol.MAX_FRAME_BYTES`` and the resident profiler samples every
+#: ``prof.DEFAULT_INTERVAL_S`` (100 Hz, the rate the <2% overhead gate
+#: in BENCH_obs.json covers): the daemon uses both modules' defaults.
+CHUNK_BYTES = 65536
 
 
 @dataclass(frozen=True)
@@ -93,32 +99,18 @@ class DaemonConfig:
     #: beyond this are shed at the daemon with a degraded reply.
     max_inflight: int = 8
     preempt: bool = True
-    #: Wall period of the poll loop (deadline flushes, idle eviction,
-    #: alert sampling).
-    poll_period_s: float = 0.02
-    #: A connection must complete its hello within this budget.
-    hello_timeout_s: float = 5.0
-    chunk_bytes: int = 65536
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     #: Attach the burn-rate alerting + flight-recorder stack.
     monitor: bool = True
     bundle_dir: str = "incidents"
     #: Attach the resident continuous profiler (stack sampler + the
     #: admin plane's ``/debug/prof/*`` endpoints).
     profile: bool = True
-    #: Sampling interval of the resident profiler (default 100 Hz —
-    #: the rate the <2% overhead gate in BENCH_obs.json covers).
-    profile_interval_s: float = DEFAULT_INTERVAL_S
 
     def __post_init__(self) -> None:
         if self.max_connections < 1:
             raise ValueError("max_connections must be >= 1")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        if self.poll_period_s <= 0:
-            raise ValueError("poll_period_s must be positive")
-        if self.profile_interval_s <= 0:
-            raise ValueError("profile_interval_s must be positive")
 
 
 class _Connection:
@@ -185,8 +177,7 @@ class ReproDaemon:
         #: the first ``/debug/prof/heap`` hit (tracemalloc is too heavy
         #: to keep always-on).
         self.profiler: StackSampler | None = (
-            StackSampler(interval_s=self.config.profile_interval_s)
-            if self.config.profile else None
+            StackSampler() if self.config.profile else None
         )
         self._heap: HeapProfiler | None = None
         self.profile_recorder: ProfileRecorder | None = None
@@ -233,10 +224,6 @@ class ReproDaemon:
         self._wake = asyncio.Event()
         self._pump_task = asyncio.create_task(self._pump())
         self._poll_task = asyncio.create_task(self._poll_loop())
-
-    async def serve_forever(self) -> None:
-        assert self._ingest is not None, "start() first"
-        await self._ingest.serve_forever()
 
     async def stop(self) -> None:
         """Drain pending windows, answer them, and tear everything down."""
@@ -329,12 +316,12 @@ class ReproDaemon:
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         obs = get_registry()
-        decoder = protocol.FrameDecoder(self.config.max_frame_bytes)
+        decoder = protocol.FrameDecoder()
         queued: deque[dict] = deque()
 
         async def next_frame() -> dict | None:
             while not queued:
-                data = await reader.read(self.config.chunk_bytes)
+                data = await reader.read(CHUNK_BYTES)
                 if not data:
                     return None
                 queued.extend(decoder.feed(data))
@@ -344,7 +331,7 @@ class ReproDaemon:
         reason = "disconnect"
         try:
             hello = await asyncio.wait_for(
-                next_frame(), self.config.hello_timeout_s
+                next_frame(), HELLO_TIMEOUT_S
             )
             if hello is None:
                 return
@@ -618,9 +605,7 @@ class ReproDaemon:
 
     def _send_to(self, writer: asyncio.StreamWriter, frame: dict) -> None:
         try:
-            writer.write(protocol.encode_frame(
-                frame, self.config.max_frame_bytes
-            ))
+            writer.write(protocol.encode_frame(frame))
         except (ConnectionError, RuntimeError, OSError):
             pass
 
@@ -630,7 +615,7 @@ class ReproDaemon:
         """Deadline flushes, idle eviction, gauges, alert sampling."""
         obs = get_registry()
         while True:
-            await asyncio.sleep(self.config.poll_period_s)
+            await asyncio.sleep(POLL_PERIOD_S)
             now = self.now()
             try:
                 results = await self._run(self.server.poll, now)

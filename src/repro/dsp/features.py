@@ -187,7 +187,7 @@ def extract_feature_matrix(
     # for standalone feature extraction.
     with get_tracer().stage("dsp.extract",
                             attrs={"samples": int(signal.shape[0])}), \
-            Timer("dsp.features.extract_s", span=True):
+            Timer("dsp.features.extract_s"):
         with Timer("dsp.features.mfcc_s"):
             cepstra = mfcc(
                 signal,
@@ -492,7 +492,7 @@ def extract_feature_matrix_batch(
             raise ValueError("each signal must be one-dimensional")
     with get_tracer().stage(
         "dsp.extract_batch", attrs={"windows": len(cleaned)}
-    ), Timer("dsp.features.extract_batch_s", span=True):
+    ), Timer("dsp.features.extract_batch_s"):
         by_length: dict[int, list[int]] = {}
         for i, signal in enumerate(cleaned):
             by_length.setdefault(signal.shape[0], []).append(i)

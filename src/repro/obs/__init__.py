@@ -6,8 +6,8 @@ This package gives every layer one zero-dependency place to report those
 numbers — and, since PR 5, to *follow one request* through them:
 
 - :class:`MetricsRegistry` — process-wide counters, gauges, and streaming
-  histograms (p50/p95/p99 without storing samples), with JSON, text, and
-  Prometheus export; :func:`labeled` builds canonical labeled series;
+  histograms (p50/p95/p99 without storing samples), with snapshot, text,
+  and Prometheus export; :func:`labeled` builds canonical labeled series;
 - :class:`Timer` / :func:`timed` — context-manager and decorator that
   feed latency histograms;
 - :class:`Tracer` / :class:`TraceContext` (:mod:`repro.obs.trace`) —
@@ -61,14 +61,8 @@ from repro.obs.registry import (
     get_registry,
     labeled,
 )
-from repro.obs.slo import BurnWindow, SnapshotHistory
-from repro.obs.timing import (
-    SpanEvent,
-    Timer,
-    process_epoch,
-    timed,
-    wall_time_of,
-)
+from repro.obs.slo import SnapshotHistory
+from repro.obs.timing import Timer, process_epoch, timed, wall_time_of
 from repro.obs.trace import (
     RetentionPolicy,
     Span,
@@ -81,7 +75,6 @@ __all__ = [
     "AlertEvent",
     "AlertManager",
     "AlertRule",
-    "BurnWindow",
     "Counter",
     "DEFAULT_ALERT_RULES",
     "FlightRecorder",
@@ -93,7 +86,6 @@ __all__ = [
     "RetentionPolicy",
     "SnapshotHistory",
     "Span",
-    "SpanEvent",
     "StackSampler",
     "Timer",
     "TraceContext",

@@ -17,16 +17,17 @@ The canonical production pairs (budget assumed over 30 days):
 - **ticket** — 30 m / 6 h at 6x burn: 10% of the monthly budget gone in
   a day.
 
-Benchmark workloads compress time, so :func:`bench_alert_rules` scales
-the same geometry down to seconds.
+:func:`alert_rules` builds both pairs per serving objective; benchmark
+workloads call it with the same geometry compressed to seconds.
 
 An :class:`AlertManager` evaluates its rules against **one shared**
 :class:`~repro.obs.slo.SnapshotHistory` (sized to the slowest window),
 runs a pending→firing→resolved state machine per rule, deduplicates
 notifications (one per firing episode), damps flapping via ``for_s``
 dwell and ``resolve_after_s`` calm requirements, and publishes every
-transition to pluggable sinks (:class:`StderrSink`, :class:`JsonlSink`,
-:class:`CallbackSink` — the flight recorder is just another sink).
+transition to sinks: any object with an ``emit(event)`` method
+(:class:`StderrSink`, :class:`JsonlSink`; the flight recorder is just
+another sink).
 
 Evidence discipline: a window with no subtractable samples — startup,
 or a registry reset racing the evaluator — yields the no-evidence
@@ -42,7 +43,7 @@ import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import TextIO
 
 from repro.obs.registry import MetricsRegistry, labeled
 from repro.obs.slo import DEFAULT_SLOS, SLObjective, SLOVerdict, SnapshotHistory
@@ -192,68 +193,28 @@ class JsonlSink:
             fh.write(json.dumps(event.to_dict()) + "\n")
 
 
-class CallbackSink:
-    """Adapt a plain callable to the sink protocol."""
-
-    def __init__(self, fn: Callable[[AlertEvent], None]) -> None:
-        self.fn = fn
-
-    def emit(self, event: AlertEvent) -> None:
-        self.fn(event)
-
-
-def _rule_pairs(
-    objectives: tuple[SLObjective, ...],
-) -> tuple[AlertRule, ...]:
-    by_name = {objective.name: objective for objective in objectives}
-    rules: list[AlertRule] = []
-    for key in ("serve-p95-latency", "shed-rate"):
-        objective = by_name.get(key)
-        if objective is None:
-            continue
-        short = "latency" if objective.kind == "latency" else "shed"
-        rules.append(AlertRule(
-            name=f"{short}-page",
-            objective=objective,
-            severity=SEVERITY_PAGE,
-            fast_window_s=300.0,
-            slow_window_s=3600.0,
-            burn_threshold=14.4,
-            resolve_after_s=300.0,
-            description=f"{objective.name}: 2% of 30d budget burned in 1h",
-        ))
-        rules.append(AlertRule(
-            name=f"{short}-ticket",
-            objective=objective,
-            severity=SEVERITY_TICKET,
-            fast_window_s=1800.0,
-            slow_window_s=21600.0,
-            burn_threshold=6.0,
-            resolve_after_s=1800.0,
-            description=f"{objective.name}: 10% of 30d budget burned in 1d",
-        ))
-    return tuple(rules)
-
-
-#: Production-geometry rules over the serving SLOs: 5m/1h@14.4x pages
-#: and 30m/6h@6x tickets for p95 latency and shed rate.
-DEFAULT_ALERT_RULES: tuple[AlertRule, ...] = _rule_pairs(DEFAULT_SLOS)
-
-
-def bench_alert_rules(
+def alert_rules(
     objectives: tuple[SLObjective, ...] = DEFAULT_SLOS,
-    fast_s: float = 1.0,
-    slow_s: float = 3.0,
-    page_burn: float = 8.0,
-    ticket_burn: float = 4.0,
-    resolve_after_s: float = 0.5,
+    fast_s: float = 300.0,
+    slow_s: float = 3600.0,
+    page_burn: float = 14.4,
+    ticket_burn: float = 6.0,
+    resolve_after_s: float = 300.0,
+    ticket_scale: float = 6.0,
+    windows: str = "production",
 ) -> tuple[AlertRule, ...]:
-    """The production rule geometry compressed to benchmark timescales.
+    """A page and a ticket rule for p95 latency and for shed rate.
 
-    Chaos plans run tens of workload seconds, so the 5m/1h pair becomes
-    ``fast_s``/``slow_s`` and thresholds drop to match the shorter
-    dilution (an 8x surge drives shed-rate burn past 15x within one
-    fast window; calm traffic stays under 1x).
+    The page watches ``fast_s``/``slow_s`` at ``page_burn`` and resolves
+    after ``resolve_after_s`` of calm; the ticket stretches all three
+    timescales by ``ticket_scale`` and fires at ``ticket_burn``.  The
+    defaults are the production pairs (5m/1h@14.4x pages, 30m/6h@6x
+    tickets).  Chaos plans run tens
+    of workload seconds, so ``repro monitor`` compresses the windows to
+    seconds and lowers the thresholds to match the shorter dilution (an
+    8x surge drives shed-rate burn past 15x within one fast window;
+    calm traffic stays under 1x).  ``windows`` names the geometry in
+    the rule descriptions.
     """
     by_name = {objective.name: objective for objective in objectives}
     rules: list[AlertRule] = []
@@ -270,19 +231,24 @@ def bench_alert_rules(
             slow_window_s=slow_s,
             burn_threshold=page_burn,
             resolve_after_s=resolve_after_s,
-            description=f"{objective.name}: sustained fast burn (bench windows)",
+            description=f"{objective.name}: sustained fast burn ({windows} windows)",
         ))
         rules.append(AlertRule(
             name=f"{short}-ticket",
             objective=objective,
             severity=SEVERITY_TICKET,
-            fast_window_s=2.0 * fast_s,
-            slow_window_s=2.0 * slow_s,
+            fast_window_s=ticket_scale * fast_s,
+            slow_window_s=ticket_scale * slow_s,
             burn_threshold=ticket_burn,
-            resolve_after_s=2.0 * resolve_after_s,
-            description=f"{objective.name}: slow burn (bench windows)",
+            resolve_after_s=ticket_scale * resolve_after_s,
+            description=f"{objective.name}: slow burn ({windows} windows)",
         ))
     return tuple(rules)
+
+
+#: Production-geometry rules over the serving SLOs: 5m/1h@14.4x pages
+#: and 30m/6h@6x tickets for p95 latency and shed rate.
+DEFAULT_ALERT_RULES: tuple[AlertRule, ...] = alert_rules()
 
 
 class _RuleState:
@@ -366,19 +332,6 @@ class AlertManager:
         }
 
     # -- evaluation ----------------------------------------------------
-
-    def verdicts(self, rule: AlertRule) -> tuple[SLOVerdict, SLOVerdict]:
-        """Current ``(fast, slow)`` verdicts for ``rule``."""
-        with self._lock:
-            return self._verdicts_locked(rule)
-
-    def _verdicts_locked(
-        self, rule: AlertRule
-    ) -> tuple[SLOVerdict, SLOVerdict]:
-        return (
-            self._evaluate_locked(rule.objective, rule.fast_window_s),
-            self._evaluate_locked(rule.objective, rule.slow_window_s),
-        )
 
     def _evaluate_locked(
         self, objective: SLObjective, horizon_s: float
@@ -535,12 +488,6 @@ class AlertManager:
         """Current state of the rule called ``name``."""
         with self._lock:
             return self._states[name].state
-
-    def firing(self) -> list[str]:
-        """Names of currently-firing rules, declaration order."""
-        with self._lock:
-            return [rule.name for rule in self.rules
-                    if self._states[rule.name].state == STATE_FIRING]
 
     def timeline(self) -> list[AlertEvent]:
         """Every retained transition, oldest first."""

@@ -133,8 +133,7 @@ class FlightRecorder:
         for key, value in snapshot.items():
             if key == "hist_states":
                 out["histograms"] = {
-                    name: state.summary(lo, hi)
-                    for name, (state, lo, hi) in sorted(value.items())
+                    name: state.summary() for name, state in sorted(value.items())
                 }
             else:
                 out[key] = value

@@ -36,7 +36,7 @@ from repro.obs.alerts import (
     AlertManager,
     JsonlSink,
     StderrSink,
-    bench_alert_rules,
+    alert_rules,
     render_alert_timeline,
 )
 from repro.obs.flight import FlightRecorder
@@ -55,6 +55,8 @@ MONITOR_PAGE_BURN = 8.0
 MONITOR_TICKET_BURN = 4.0
 #: Calm dwell before a firing rule resolves (flap damping).
 MONITOR_RESOLVE_AFTER_S = 0.5
+#: The ticket tier doubles every page timescale.
+MONITOR_TICKET_SCALE = 2.0
 
 
 def make_monitor(
@@ -65,12 +67,14 @@ def make_monitor(
 ) -> tuple[AlertManager, FlightRecorder]:
     """One wired alerting stack: manager + flight recorder as its sink."""
     manager = AlertManager(
-        bench_alert_rules(
+        alert_rules(
             fast_s=MONITOR_FAST_WINDOW_S,
             slow_s=MONITOR_SLOW_WINDOW_S,
             page_burn=MONITOR_PAGE_BURN,
             ticket_burn=MONITOR_TICKET_BURN,
             resolve_after_s=MONITOR_RESOLVE_AFTER_S,
+            ticket_scale=MONITOR_TICKET_SCALE,
+            windows="bench",
         ),
     )
     recorder = FlightRecorder(

@@ -8,16 +8,10 @@ and every write path short-circuits when the registry is disabled.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
 import time
-from collections import deque
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.obs.timing import SpanEvent
 
 
 class Counter:
@@ -77,69 +71,64 @@ def _midpoint(index: int) -> float:
 
 
 class HistogramState:
-    """Immutable copy of a histogram's bucket occupancy at one instant.
+    """A histogram's bucket occupancy; every estimate is computed here.
 
-    Two states taken from the same histogram subtract
-    (``later.delta(earlier)``) into the distribution of just the samples
-    that landed *between* the two snapshots — the primitive behind
-    windowed SLO burn (:class:`repro.obs.slo.BurnWindow`), which must
-    judge the trailing window rather than the lifetime of the registry.
+    A live :class:`Histogram` is one, and :meth:`Histogram.state` copies
+    one at an instant, so periodic recorders capture cheap states on the
+    hot path and render summaries only when a bundle is dumped.
+
+    ``min``/``max`` are the exact extremes when known and ``None`` when
+    not.  Estimates use each bucket's geometric midpoint, so their
+    relative error is bounded by the bucket base; known extremes clamp
+    quantiles and settle thresholds outside the sampled range exactly.
     """
 
-    __slots__ = ("count", "total", "zero", "buckets")
+    __slots__ = ("count", "total", "zero", "buckets", "min", "max")
 
     def __init__(self, count: int, total: float, zero: int,
-                 buckets: dict[int, int]) -> None:
+                 buckets: dict[int, int], lo: float | None = None,
+                 hi: float | None = None) -> None:
         self.count = count
         self.total = total
         self.zero = zero
         self.buckets = buckets
+        self.min = lo
+        self.max = hi
 
-    def delta(self, earlier: "HistogramState") -> "HistogramState":
-        """The samples observed since ``earlier`` (same histogram).
+    @property
+    def mean(self) -> float:
+        """Arithmetic mean of the samples (0.0 when empty)."""
+        return self.total / self.count if self.count > 0 else 0.0
 
-        Bucket counts only grow, so a plain per-bucket subtraction is
-        exact.  A registry reset between the snapshots shows up as a
-        negative count; callers treat that as an empty window.
+    def count_below(self, threshold: float) -> int:
+        """Approximate number of samples ``<= threshold`` (SLO math).
+
+        Exact for the non-positive bucket, and for thresholds outside
+        the sampled range when the extremes are known; positive buckets
+        count when their geometric midpoint (the estimate
+        :meth:`quantile` reports) is within the threshold.
         """
-        buckets = {
-            index: n - earlier.buckets.get(index, 0)
-            for index, n in self.buckets.items()
-            if n - earlier.buckets.get(index, 0) > 0
-        }
-        return HistogramState(
-            count=self.count - earlier.count,
-            total=self.total - earlier.total,
-            zero=self.zero - earlier.zero,
-            buckets=buckets,
-        )
-
-    def fraction_below(self, threshold: float) -> float:
-        """Same estimate as :meth:`Histogram.fraction_below`, over this state.
-
-        Without exact min/max (deltas cannot recover them) the bucket
-        midpoints alone decide, so the bound is the bucket base like
-        every other estimate.  Empty (or reset-corrupted) states report
-        1.0 — no samples, no violations.
-        """
-        if self.count <= 0:
-            return 1.0
-        if threshold < 0.0:
-            return 0.0
+        if self.max is not None and threshold >= self.max:
+            return self.count
+        if threshold < 0.0 or (self.min is not None and threshold < self.min):
+            return 0
         good = self.zero
         for index, n in self.buckets.items():
             if _midpoint(index) <= threshold:
                 good += n
-        return min(1.0, good / self.count)
+        return good
 
-    def quantile(self, q: float, lo: float | None = None,
-                 hi: float | None = None) -> float:
-        """Approximate ``q``-quantile over this state's samples.
+    def fraction_below(self, threshold: float) -> float:
+        """Fraction of samples ``<= threshold`` (see :meth:`count_below`).
 
-        Same bucket-midpoint estimate as :meth:`Histogram.quantile`;
-        ``lo``/``hi`` are optional exact min/max clamps when the caller
-        captured them alongside the state (deltas have none).
+        Returns 1.0 when empty: no samples means no violations.
         """
+        if self.count <= 0:
+            return 1.0
+        return min(1.0, self.count_below(threshold) / self.count)
+
+    def quantile(self, q: float) -> float:
+        """Approximate ``q``-quantile (``q`` in [0, 1]) of the samples."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
         if self.count <= 0:
@@ -147,9 +136,13 @@ class HistogramState:
         rank = q * self.count
         cumulative = self.zero
         if cumulative >= rank:
-            if lo is None:
+            # q falls in (or below) the non-positive bucket, whose
+            # samples span [min, 0] when any were negative.  With no
+            # underflow samples this is only reachable at q == 0, where
+            # the exact min (if known) is the answer.
+            if self.min is None:
                 return 0.0
-            return lo if self.zero == 0 else min(lo, 0.0)
+            return self.min if self.zero == 0 else min(self.min, 0.0)
         estimate = 0.0
         for index in sorted(self.buckets):
             cumulative += self.buckets[index]
@@ -157,32 +150,27 @@ class HistogramState:
                 estimate = _midpoint(index)
                 break
         else:
-            return hi if hi is not None else estimate
-        if lo is not None:
-            estimate = max(estimate, lo)
-        if hi is not None:
-            estimate = min(estimate, hi)
+            return self.max if self.max is not None else estimate
+        if self.min is not None:
+            estimate = max(estimate, self.min)
+        if self.max is not None:
+            estimate = min(estimate, self.max)
         return estimate
 
-    def summary(self, lo: float | None = None,
-                hi: float | None = None) -> dict[str, float]:
-        """Exportable summary matching :meth:`Histogram.summary`.
-
-        Lets a periodic recorder capture cheap states on the hot path
-        and render summaries only when a bundle is actually dumped.
-        """
+    def summary(self) -> dict[str, float]:
+        """Exportable summary: count, sum, min/max/mean, p50/p95/p99."""
         if self.count <= 0:
             return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
                     "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
         return {
             "count": self.count,
             "sum": self.total,
-            "min": lo if lo is not None else 0.0,
-            "max": hi if hi is not None else 0.0,
-            "mean": self.total / self.count,
-            "p50": self.quantile(0.50, lo, hi),
-            "p95": self.quantile(0.95, lo, hi),
-            "p99": self.quantile(0.99, lo, hi),
+            "min": self.min if self.min is not None else 0.0,
+            "max": self.max if self.max is not None else 0.0,
+            "mean": self.mean,
+            "p50": self.quantile(0.50),
+            "p95": self.quantile(0.95),
+            "p99": self.quantile(0.99),
         }
 
 
@@ -201,7 +189,7 @@ def labeled(name: str, **labels: object) -> str:
     return f"{name}{{{body}}}"
 
 
-class Histogram:
+class Histogram(HistogramState):
     """Streaming distribution summary with approximate quantiles.
 
     Samples land in exponentially sized buckets, so memory stays O(number
@@ -211,17 +199,11 @@ class Histogram:
     are non-negative in practice).
     """
 
-    __slots__ = ("name", "count", "total", "min", "max", "_buckets", "_zero",
-                 "exemplar")
+    __slots__ = ("name", "exemplar")
 
     def __init__(self, name: str) -> None:
+        super().__init__(0, 0.0, 0, {}, math.inf, -math.inf)
         self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._buckets: dict[int, int] = {}
-        self._zero = 0
         #: ``(trace_id, value)`` of the largest sample observed with a
         #: trace id attached — the OpenMetrics-style exemplar the
         #: Prometheus exposition emits so a slow tail bucket links to a
@@ -242,88 +224,19 @@ class Histogram:
             if exemplar is None or value >= exemplar[1]:
                 self.exemplar = (trace_id, value)
         if value <= 0.0:
-            self._zero += 1
+            self.zero += 1
             return
         index = math.floor(math.log(value) / _LOG_BASE)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of all samples (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile (``q`` in [0, 1]) of all samples."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = self._zero
-        if cumulative >= rank:
-            # q falls in (or below) the non-positive bucket.  Its samples
-            # span [min, 0] when any were negative — returning 0.0 there
-            # (the old behavior) over-reported low quantiles for
-            # mixed-sign data.  With no underflow samples this branch is
-            # only reachable at q == 0, where the exact min is known.
-            if self._zero == 0:
-                return self.min
-            return min(self.min, 0.0)
-        for index in sorted(self._buckets):
-            cumulative += self._buckets[index]
-            if cumulative >= rank:
-                # Geometric midpoint of the bucket, clamped to the exact range.
-                estimate = _midpoint(index)
-                return min(max(estimate, self.min), self.max)
-        return self.max
-
-    def fraction_below(self, threshold: float) -> float:
-        """Approximate fraction of samples ``<= threshold`` (SLO math).
-
-        Exact for the non-positive bucket; positive buckets count when
-        their geometric midpoint (the same estimate :meth:`quantile`
-        reports) is within the threshold, so the error is bounded by the
-        bucket base like every other estimate here.  Returns 1.0 for an
-        empty histogram — no samples means no violations.
-        """
-        if self.count == 0:
-            return 1.0
-        if threshold >= self.max:
-            return 1.0
-        if threshold < 0.0 or threshold < self.min:
-            return 0.0
-        good = self._zero
-        for index, n in self._buckets.items():
-            if _midpoint(index) <= threshold:
-                good += n
-        return good / self.count
+        self.buckets[index] = self.buckets.get(index, 0) + 1
 
     def state(self) -> HistogramState:
-        """Snapshot the bucket occupancy for windowed (delta) evaluation."""
-        return HistogramState(
-            count=self.count, total=self.total, zero=self._zero,
-            buckets=dict(self._buckets),
-        )
-
-    def summary(self) -> dict[str, float]:
-        """Exportable summary: count, sum, min/max/mean, p50/p95/p99."""
-        if self.count == 0:
-            return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
-                    "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-        }
+        """Copy the occupancy and exact extremes at this instant."""
+        return HistogramState(self.count, self.total, self.zero,
+                              dict(self.buckets), self.min, self.max)
 
 
 class MetricsRegistry:
-    """Named counters, gauges, histograms, and recent span events.
+    """Named counters, gauges, and histograms.
 
     One process-wide instance (``get_registry()``) backs all built-in
     instrumentation; independent instances can be created for tests.
@@ -331,8 +244,11 @@ class MetricsRegistry:
     (atomic enough under the GIL for accounting purposes).
     """
 
-    def __init__(self, enabled: bool = True, max_spans: int = 512) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
+        #: Bumped by every :meth:`reset`: values captured under different
+        #: generations do not subtract.
+        self.generation = 0
         #: Monotonic birth time; every snapshot freshens the ``uptime_s``
         #: gauge from it, so scrapes, ``repro stats``, flight-recorder
         #: rings, and alert rules can all see process age (a daemon that
@@ -342,7 +258,6 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._spans: deque[SpanEvent] = deque(maxlen=max_spans)
 
     # -- metric accessors (get-or-create) ---------------------------------
 
@@ -401,23 +316,9 @@ class MetricsRegistry:
             return
         self.histogram(name).observe(value, trace_id)
 
-    def record_span(self, span: SpanEvent) -> None:
-        """Append one structured span event (bounded ring buffer)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._spans.append(span)
-
     # -- export -----------------------------------------------------------
 
-    @property
-    def spans(self) -> list[SpanEvent]:
-        """Recent span events, oldest first."""
-        with self._lock:
-            return list(self._spans)
-
-    def snapshot(self, include_spans: bool = False,
-                 include_histograms: bool = True) -> dict:
+    def snapshot(self, include_histograms: bool = True) -> dict:
         """All metrics as one JSON-serializable dict.
 
         The metric tables are copied under the registry lock: serve
@@ -437,7 +338,6 @@ class MetricsRegistry:
             gauges = list(self._gauges.items())
             histograms = (list(self._histograms.items())
                           if include_histograms else [])
-            spans = list(self._spans) if include_spans else []
         snap: dict = {
             "counters": {k: c.value for k, c in sorted(counters)},
             "gauges": {k: g.value for k, g in sorted(gauges)},
@@ -445,23 +345,18 @@ class MetricsRegistry:
         if include_histograms:
             snap["histograms"] = {k: h.summary()
                                   for k, h in sorted(histograms)}
-        if include_spans:
-            snap["spans"] = [s.to_dict() for s in spans]
         return snap
 
-    def histogram_states(
-        self,
-    ) -> dict[str, tuple[HistogramState, float, float]]:
-        """Every histogram as ``(state, min, max)`` — the cheap capture.
+    def histogram_states(self) -> dict[str, HistogramState]:
+        """Every histogram's :meth:`Histogram.state` — the cheap capture.
 
-        A bucket-state copy costs a dict copy; :meth:`Histogram.summary`
-        costs three quantile scans per histogram.  Recorders sampling on
-        the serve poll loop store states and render summaries later via
-        :meth:`HistogramState.summary`.
+        A state copy costs a dict copy; :meth:`Histogram.summary` costs
+        three quantile scans per histogram.  Recorders sampling on the
+        serve poll loop store states and render summaries later.
         """
         with self._lock:
             histograms = list(self._histograms.items())
-        return {name: (h.state(), h.min, h.max) for name, h in histograms}
+        return {name: h.state() for name, h in histograms}
 
     def exemplars(self) -> dict[str, tuple[str, float]]:
         """``{histogram name: (trace_id, value)}`` for traced samples."""
@@ -469,11 +364,6 @@ class MetricsRegistry:
             histograms = list(self._histograms.items())
         return {name: h.exemplar for name, h in histograms
                 if h.exemplar is not None}
-
-    def to_json(self, indent: int = 2, include_spans: bool = False) -> str:
-        """The snapshot as a JSON string."""
-        return json.dumps(self.snapshot(include_spans=include_spans),
-                          indent=indent, sort_keys=True)
 
     def render_text(self) -> str:
         """Human-readable metrics report."""
@@ -501,12 +391,12 @@ class MetricsRegistry:
         return "\n".join(lines)
 
     def reset(self) -> None:
-        """Drop every metric and span (names are recreated on next use)."""
+        """Drop every metric (names are recreated on next use)."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-            self._spans.clear()
+            self.generation += 1
             self._started_perf = time.monotonic()
 
 

@@ -13,7 +13,7 @@ Three objective kinds cover the stack:
 
 - ``latency`` — at least ``target`` of samples in histogram ``metric``
   must fall at or under ``threshold`` seconds (uses
-  :meth:`~repro.obs.registry.Histogram.fraction_below`);
+  :meth:`~repro.obs.registry.HistogramState.count_below`);
 - ``ratio`` — the ratio of counter ``metric`` over counter
   ``denominator`` must stay at or under ``threshold``;
 - ``gauge`` — the gauge ``metric`` must stay at or under ``threshold``
@@ -26,43 +26,25 @@ itself for gauges).  ``burn_rate`` is the observed bad fraction divided
 by that budget — 1.0 means the window exactly spent its budget (for a
 gauge: the value sits exactly at the ceiling), above 1.0 means the
 objective is being violated.
+
+One function computes every verdict, over the samples between two
+snapshots of the registry: a :class:`SnapshotHistory` supplies trailing
+windows (the control and alerting signal), and :func:`evaluate_slo`
+judges the lifetime as the window that starts from an empty baseline.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
-from repro.obs.registry import (
-    _LOG_BASE,
-    HistogramState,
-    MetricsRegistry,
-    _midpoint,
-)
+from repro.obs.registry import MetricsRegistry
 
-#: Threshold → highest bucket index whose midpoint is still below it,
-#: memoized so the windowed-verdict inner loop compares plain ints.
-_CUTOFFS: dict[float, int] = {}
-
-
-def _good_cutoff(threshold: float) -> int:
-    """Highest bucket index with ``_midpoint(index) <= threshold``.
-
-    Computed from the closed form then nudged by at most one step each
-    way so the boundary agrees exactly with the float comparison
-    :meth:`~repro.obs.registry.HistogramState.fraction_below` performs.
-    Requires ``threshold > 0``.
-    """
-    cutoff = _CUTOFFS.get(threshold)
-    if cutoff is None:
-        cutoff = int(math.floor(math.log(threshold) / _LOG_BASE - 0.5))
-        while _midpoint(cutoff + 1) <= threshold:
-            cutoff += 1
-        while _midpoint(cutoff) > threshold:
-            cutoff -= 1
-        _CUTOFFS[threshold] = cutoff
-    return cutoff
+#: One capture of the series behind some objectives: ``(count, good)``
+#: sample counts under ``(histogram, threshold)`` for each latency
+#: objective, counter values under their names, and gauge readings
+#: under ``("gauge", name)`` (a gauge may share a name with a counter).
+Snapshot = dict[object, object]
 
 
 @dataclass(frozen=True)
@@ -118,6 +100,8 @@ class SLObjective:
 class SLOVerdict:
     """The outcome of evaluating one objective.
 
+    ``value`` is the observed statistic: the bad fraction (latency and
+    ratio) or the reading (gauge).
     ``bad_fraction`` is the observed violation rate, ``error_budget``
     the tolerated one, ``burn_rate`` their ratio (``0.0`` when the
     budget itself is zero and nothing was bad), and ``budget_remaining``
@@ -183,33 +167,90 @@ DEFAULT_SLOS: tuple[SLObjective, ...] = (
 )
 
 
-def evaluate_slo(registry: MetricsRegistry,
-                 objective: SLObjective) -> SLOVerdict:
-    """Evaluate one objective against the registry's current state."""
+def _series(
+    objectives: tuple[SLObjective, ...],
+) -> set[tuple[str, str, float | None]]:
+    """The ``(kind, name, threshold)`` registry series behind ``objectives``."""
+    series: set[tuple[str, str, float | None]] = set()
+    for objective in objectives:
+        if objective.kind == "latency":
+            series.add(("latency", objective.metric, objective.threshold))
+        elif objective.kind == "gauge":
+            series.add(("gauge", objective.metric, None))
+        else:
+            series.add(("counter", objective.metric, None))
+            series.add(("counter", objective.denominator or "", None))
+    return series
+
+
+def _capture(registry: MetricsRegistry,
+             series: set[tuple[str, str, float | None]],
+             exact: bool = False) -> Snapshot:
+    values: Snapshot = {}
+    for kind, name, threshold in series:
+        if kind == "latency":
+            state = registry.histogram(name).state()
+            if not exact:
+                # A count that uses the exact extremes does not
+                # subtract: a later, larger max turns samples an earlier
+                # capture judged good back into bad.  Window captures
+                # count by bucket midpoints alone.
+                state.min = state.max = None
+            values[(name, threshold)] = (state.count, state.count_below(threshold))
+        elif kind == "gauge":
+            values[("gauge", name)] = registry.gauge(name).value
+        else:
+            values[name] = registry.counter(name).value
+    return values
+
+
+def _verdict(objective: SLObjective, earlier: Snapshot,
+             later: Snapshot) -> SLOVerdict:
+    """Verdict for ``objective`` over the samples between two snapshots.
+
+    A window without evidence — a series missing from either snapshot
+    (captured before it was tracked) or no traffic in between — yields
+    the no-evidence verdict: zero samples, zero burn, ``ok=True``.
+    Controllers and alerting must not act on silence.
+    """
+    bad = value = samples = 0.0
+    ok = True
     if objective.kind == "latency":
-        hist = registry.histogram(objective.metric)
-        good = hist.fraction_below(objective.threshold)
-        bad = 1.0 - good
         budget = 1.0 - objective.target
-        ok = good >= objective.target
-        value = hist.quantile(objective.target) if hist.count else 0.0
-        samples = float(hist.count)
+        key = (objective.metric, objective.threshold)
+        start, end = earlier.get(key), later.get(key)
+        if start is not None and end is not None and end[0] > start[0]:  # type: ignore[index]
+            samples = float(end[0] - start[0])  # type: ignore[index]
+            good = min(1.0, (end[1] - start[1]) / samples)  # type: ignore[index]
+            bad = 1.0 - good
+            ok = good >= objective.target
+        value = bad
     elif objective.kind == "gauge":
-        value = registry.gauge(objective.metric).value
-        # The ceiling is the budget: burn 1.0 means the gauge sits
-        # exactly at it.  Negative values (a shrinking heap) burn 0.
-        bad = max(0.0, value) / objective.threshold
+        # A gauge is already a point-in-time value: the verdict reads
+        # the later snapshot (the freshest evidence the window holds).
         budget = 1.0
-        ok = value <= objective.threshold
-        samples = 1.0
+        reading = later.get(("gauge", objective.metric))
+        if reading is not None:
+            value = float(reading)  # type: ignore[arg-type]
+            # The ceiling is the budget: burn 1.0 means the gauge sits
+            # exactly at it.  Negative values (a shrinking heap) burn 0.
+            bad = max(0.0, value) / objective.threshold
+            ok = value <= objective.threshold
+            samples = 1.0
     else:
-        numerator = registry.counter(objective.metric).value
-        denominator = registry.counter(objective.denominator or "").value
-        bad = numerator / denominator if denominator else 0.0
         budget = objective.threshold
+        counts = (earlier.get(objective.metric), later.get(objective.metric),
+                  earlier.get(objective.denominator),
+                  later.get(objective.denominator))
+        if None not in counts:
+            num0, num1, den0, den1 = counts
+            den = float(den1) - float(den0)  # type: ignore[arg-type]
+            if den > 0:
+                num = float(num1) - float(num0)  # type: ignore[arg-type]
+                bad = max(0.0, num) / den
+                samples = den
         ok = bad <= objective.threshold
         value = bad
-        samples = denominator
     if budget > 0:
         burn = bad / budget
     else:
@@ -224,6 +265,19 @@ def evaluate_slo(registry: MetricsRegistry,
         budget_remaining=max(0.0, min(1.0, 1.0 - burn)),
         samples=samples,
     )
+
+
+def evaluate_slo(registry: MetricsRegistry,
+                 objective: SLObjective) -> SLOVerdict:
+    """Evaluate one objective over every sample the registry holds.
+
+    The lifetime is the window from an empty baseline.  With nothing to
+    subtract, a latency verdict also uses the histogram's exact min/max.
+    """
+    later = _capture(registry, _series((objective,)), exact=True)
+    empty: Snapshot = {key: (0, 0) if isinstance(value, tuple) else 0.0
+                       for key, value in later.items()}
+    return _verdict(objective, empty, later)
 
 
 def evaluate_slos(
@@ -234,135 +288,32 @@ def evaluate_slos(
     return [evaluate_slo(registry, objective) for objective in objectives]
 
 
-def _windowed_verdict(
-    objective: SLObjective,
-    pair: tuple[dict[object, object], dict[object, object]] | None,
-) -> SLOVerdict:
-    """Verdict for ``objective`` over the delta between two snapshots.
-
-    ``pair`` is ``(earlier_values, later_values)`` or ``None`` when
-    there is no subtractable window yet.  An absent window — or one
-    whose deltas are empty or negative (a registry reset mid-window) —
-    yields the no-evidence verdict: zero samples, zero burn, ``ok=True``.
-    Controllers and alerting must not act on silence.
-    """
-    if objective.kind == "latency":
-        bad = 0.0
-        value = 0.0
-        samples = 0.0
-        if pair is not None:
-            # Fast path: :class:`SnapshotHistory` precomputes
-            # ``(count, good)`` per (histogram, threshold) at capture
-            # time, so every horizon's verdict is pure subtraction —
-            # no bucket scan per (rule, window) per tick.
-            pre_earlier = pair[0].get((objective.metric, objective.threshold))
-            pre_later = pair[1].get((objective.metric, objective.threshold))
-            if pre_earlier is not None and pre_later is not None:
-                count = pre_later[0] - pre_earlier[0]  # type: ignore[index]
-                if count > 0:
-                    good = pre_later[1] - pre_earlier[1]  # type: ignore[index]
-                    bad = 1.0 - min(1.0, good / count)
-                    samples = float(count)
-                    value = bad
-            else:
-                earlier = pair[0].get(objective.metric)
-                later = pair[1].get(objective.metric)
-                if (isinstance(earlier, HistogramState)
-                        and isinstance(later, HistogramState)):
-                    # Fused delta + fraction_below for thresholds the
-                    # history was not told about: one pass over the
-                    # later buckets, no intermediate state allocation.
-                    count = later.count - earlier.count
-                    if count > 0:
-                        threshold = objective.threshold
-                        if threshold < 0.0:
-                            good = 0
-                        else:
-                            good = later.zero - earlier.zero
-                            if threshold > 0.0:
-                                cutoff = _good_cutoff(threshold)
-                                eb = earlier.buckets
-                                for index, n in later.buckets.items():
-                                    if index <= cutoff:
-                                        d = n - eb.get(index, 0)
-                                        if d > 0:
-                                            good += d
-                        bad = 1.0 - min(1.0, good / count)
-                        samples = float(count)
-                        value = bad
-        budget = 1.0 - objective.target
-        ok = bad <= budget
-    elif objective.kind == "gauge":
-        # A gauge is already a point-in-time value: the windowed verdict
-        # reads the *later* snapshot's value (the freshest evidence the
-        # window holds).  A window captured before the gauge was tracked
-        # yields no evidence.
-        bad = 0.0
-        value = 0.0
-        samples = 0.0
-        if pair is not None:
-            later = pair[1].get(("gauge", objective.metric))
-            if later is not None:
-                value = float(later)  # type: ignore[arg-type]
-                bad = max(0.0, value) / objective.threshold
-                samples = 1.0
-        budget = 1.0
-        ok = bad <= 1.0
-    else:
-        bad = 0.0
-        samples = 0.0
-        if pair is not None:
-            num_earlier = pair[0].get(objective.metric)
-            num_later = pair[1].get(objective.metric)
-            den_earlier = pair[0].get(objective.denominator or "")
-            den_later = pair[1].get(objective.denominator or "")
-            if None not in (num_earlier, num_later, den_earlier, den_later):
-                num = float(num_later) - float(num_earlier)  # type: ignore[arg-type]
-                den = float(den_later) - float(den_earlier)  # type: ignore[arg-type]
-                if den > 0:
-                    bad = max(0.0, num) / den
-                    samples = den
-        budget = objective.threshold
-        ok = bad <= objective.threshold
-        value = bad
-    if budget > 0:
-        burn = bad / budget
-    else:
-        burn = 0.0 if bad == 0.0 else float("inf")
-    return SLOVerdict(
-        objective=objective,
-        ok=ok,
-        value=value,
-        bad_fraction=bad,
-        error_budget=budget,
-        burn_rate=burn,
-        budget_remaining=max(0.0, min(1.0, 1.0 - burn)),
-        samples=samples,
-    )
-
-
 class SnapshotHistory:
-    """One sampled snapshot deque shared by any number of burn horizons.
+    """Burn rate over trailing windows, not the lifetime of the registry.
 
-    Multi-window burn-rate alerting (the SRE workbook's fast+slow pair)
-    needs the *same* metric history read at several window lengths; a
-    ``BurnWindow`` per horizon would snapshot the registry once per
-    window per tick.  ``SnapshotHistory`` owns the deque of
-    ``(workload_time, values)`` snapshots — counter values plus
-    :class:`~repro.obs.registry.HistogramState` bucket states — retains
-    enough history for the longest horizon, and answers delta verdicts
-    for any horizon up to that bound.
+    :func:`evaluate_slo` judges every sample the registry has ever seen,
+    which is the right report for a benchmark run but useless as a
+    *control signal*: an hour of healthy traffic dilutes a ten-second
+    overload spike to invisibility.  A history keeps a deque of
+    ``(workload_time, snapshot)`` captures of the series behind its
+    objectives, retains enough of them for ``max_horizon_s``, and
+    judges each objective over the **delta** between two captures — the
+    multi-window burn-rate construction from the SRE workbook.  One
+    history serves every horizon up to ``max_horizon_s``: the alerting
+    engine's fast/slow pairs share one, and the adaptive controller
+    reads its own over the full retained span, so "burning" means the
+    same thing to the control loop, the pager and the dashboards.
 
-    For a horizon ``h`` the window pair is the newest snapshot against
-    the **latest snapshot at least ``h`` older** (falling back to the
-    oldest retained when none is old enough yet) — the same
-    keep-one-beyond-the-horizon construction the single-window
-    ``BurnWindow`` has always used, so sharing a history does not change
-    any verdict.
+    For a horizon ``h`` the window pair is the newest capture against
+    the **latest capture at least ``h`` older** (falling back to the
+    oldest retained when none is old enough yet).  ``horizon_s=None``
+    pairs the oldest retained capture with the newest.
 
     All timing is caller-supplied workload time; ``sample`` drops calls
     that do not advance past ``min_interval_s``, so polling loops may
-    call it every tick.
+    call it every tick.  A registry reset (a new
+    :attr:`~repro.obs.registry.MetricsRegistry.generation`) empties the
+    history: counts captured before it do not subtract from counts after.
     """
 
     def __init__(
@@ -380,40 +331,26 @@ class SnapshotHistory:
         #: Bumped whenever the retained samples change (kept sample or
         #: clear); lets callers cache derived verdicts per version.
         self.version = 0
-        self._metrics: set[tuple[str, str]] = set()
-        # Histogram → thresholds whose good-count is precomputed per
-        # snapshot (see :func:`_windowed_verdict`'s fast path).
-        self._thresholds: dict[str, tuple[float, ...]] = {}
-        self._samples: deque[tuple[float, dict[object, object]]] = deque()
+        self._series: set[tuple[str, str, float | None]] = set()
+        self._generation: int | None = None
+        self._samples: deque[tuple[float, Snapshot]] = deque()
         # Horizon → pair resolution memo, valid for one version: rules
         # sharing a horizon (e.g. the latency and shed page rules) pay
         # the deque scan once per kept sample instead of once per rule.
         self._pair_cache: dict[
             float | None,
-            tuple[tuple[float, dict[object, object]],
-                  tuple[float, dict[object, object]]] | None] = {}
+            tuple[tuple[float, Snapshot], tuple[float, Snapshot]] | None] = {}
         self._pair_version = -1
         self.track(objectives)
 
     def track(self, objectives: tuple[SLObjective, ...]) -> None:
-        """Add the metrics behind ``objectives`` to future snapshots.
+        """Add the series behind ``objectives`` to future snapshots.
 
-        Snapshots taken before a metric was tracked simply lack its key;
+        Snapshots taken before a series was tracked simply lack its key;
         verdicts over such windows report no evidence until the window
         refills with complete snapshots.
         """
-        for objective in objectives:
-            if objective.kind == "latency":
-                self._metrics.add(("histogram", objective.metric))
-                known = self._thresholds.get(objective.metric, ())
-                if objective.threshold not in known:
-                    self._thresholds[objective.metric] = (
-                        known + (objective.threshold,))
-            elif objective.kind == "gauge":
-                self._metrics.add(("gauge", objective.metric))
-            else:
-                self._metrics.add(("counter", objective.metric))
-                self._metrics.add(("counter", objective.denominator or ""))
+        self._series |= _series(objectives)
 
     def sample(self, registry: MetricsRegistry, now: float) -> bool:
         """Capture one snapshot at workload time ``now``; returns whether kept.
@@ -423,32 +360,12 @@ class SnapshotHistory:
         full window of history stays subtractable (otherwise the window
         would shrink to nothing right after every retirement).
         """
+        if registry.generation != self._generation:
+            self._samples.clear()
+            self._generation = registry.generation
         if self._samples and now - self._samples[-1][0] < self.min_interval_s:
             return False
-        values: dict[object, object] = {}
-        for kind, name in self._metrics:
-            if kind == "histogram":
-                state = registry.histogram(name).state()
-                values[name] = state
-                # One below-threshold scan per snapshot buys O(1)
-                # verdicts for every (rule, horizon) reading it.
-                for threshold in self._thresholds.get(name, ()):
-                    good = 0
-                    if threshold >= 0.0:
-                        good = state.zero
-                        if threshold > 0.0:
-                            cutoff = _good_cutoff(threshold)
-                            for index, n in state.buckets.items():
-                                if index <= cutoff:
-                                    good += n
-                    values[(name, threshold)] = (state.count, good)
-            elif kind == "gauge":
-                # Namespaced key: a gauge may legitimately share a name
-                # with a counter (e.g. mirrored totals).
-                values[("gauge", name)] = registry.gauge(name).value
-            else:
-                values[name] = registry.counter(name).value
-        self._samples.append((now, values))
+        self._samples.append((now, _capture(registry, self._series)))
         while (len(self._samples) > 2
                and now - self._samples[1][0] >= self.max_horizon_s):
             self._samples.popleft()
@@ -475,8 +392,7 @@ class SnapshotHistory:
 
     def _pair_samples(
         self, horizon_s: float | None
-    ) -> tuple[tuple[float, dict[object, object]],
-               tuple[float, dict[object, object]]] | None:
+    ) -> tuple[tuple[float, Snapshot], tuple[float, Snapshot]] | None:
         if self._pair_version != self.version:
             self._pair_cache.clear()
             self._pair_version = self.version
@@ -488,8 +404,7 @@ class SnapshotHistory:
 
     def _resolve_pair(
         self, horizon_s: float | None
-    ) -> tuple[tuple[float, dict[object, object]],
-               tuple[float, dict[object, object]]] | None:
+    ) -> tuple[tuple[float, Snapshot], tuple[float, Snapshot]] | None:
         if len(self._samples) < 2:
             return None
         newest = self._samples[-1]
@@ -505,110 +420,18 @@ class SnapshotHistory:
             earlier = self._samples[0]
         return earlier, newest
 
-    def window_pair(
-        self, horizon_s: float | None = None
-    ) -> tuple[dict[object, object], dict[object, object]] | None:
-        """The ``(earlier, later)`` snapshot values for ``horizon_s``."""
-        pair = self._pair_samples(horizon_s)
-        if pair is None:
-            return None
-        return pair[0][1], pair[1][1]
-
     def evaluate(
         self, objective: SLObjective, horizon_s: float | None = None
     ) -> SLOVerdict:
-        """Verdict for ``objective`` over the trailing ``horizon_s`` window."""
-        return _windowed_verdict(objective, self.window_pair(horizon_s))
-
-
-class BurnWindow:
-    """Burn rate over the trailing window, not the lifetime of the registry.
-
-    :func:`evaluate_slo` judges every sample the registry has ever seen,
-    which is the right report for a benchmark run but useless as a
-    *control signal*: an hour of healthy traffic dilutes a ten-second
-    overload spike to invisibility.  ``BurnWindow`` evaluates each
-    objective over the **delta** between the oldest retained snapshot
-    and the newest — the multi-window burn-rate construction from the
-    SRE workbook, restricted to one window length.
-
-    The adaptive degradation controller and the SLO export share this
-    one definition, so "burning" means the same thing to the control
-    loop and to the dashboards.  Snapshot storage lives in a
-    :class:`SnapshotHistory`; pass ``history=`` to share one deque
-    between several windows (the alerting engine's fast/slow horizon
-    pairs do this), otherwise the window owns a private history sized to
-    its own horizon.
-
-    All timing is caller-supplied workload time.  ``sample`` is cheap
-    (one snapshot per tracked metric) and callers decide the cadence; a
-    sample that does not advance time past ``min_interval_s`` since the
-    last one is dropped, so polling loops may call it every tick.
-    """
-
-    def __init__(
-        self,
-        objectives: tuple[SLObjective, ...] = DEFAULT_SLOS,
-        horizon_s: float = 5.0,
-        min_interval_s: float = 0.25,
-        history: SnapshotHistory | None = None,
-    ) -> None:
-        if horizon_s <= 0:
-            raise ValueError("horizon_s must be positive")
-        if min_interval_s < 0:
-            raise ValueError("min_interval_s must be non-negative")
-        self.objectives = tuple(objectives)
-        self.horizon_s = horizon_s
-        self.min_interval_s = min_interval_s
-        if history is None:
-            history = SnapshotHistory(
-                self.objectives,
-                max_horizon_s=horizon_s,
-                min_interval_s=min_interval_s,
-            )
-        else:
-            if history.max_horizon_s < horizon_s:
-                raise ValueError(
-                    "shared history retains less than this window's horizon"
-                )
-            history.track(self.objectives)
-        self.history = history
-
-    def sample(self, registry: MetricsRegistry, now: float) -> bool:
-        """Capture one snapshot at workload time ``now``; returns whether kept."""
-        return self.history.sample(registry, now)
-
-    @property
-    def span_s(self) -> float:
-        """Workload time covered by this window's samples (0.0 when < 2)."""
-        return self.history.span_s(
-            None if self.history.max_horizon_s == self.horizon_s
-            else self.horizon_s
-        )
-
-    def evaluate(self, objective: SLObjective) -> SLOVerdict:
-        """Verdict for ``objective`` over the trailing window.
+        """Verdict for ``objective`` over the trailing ``horizon_s`` window.
 
         An empty or single-sample window (startup, or a just-reset
-        registry) yields the no-evidence verdict: zero samples, zero
-        burn, ``ok=True`` — the controller must not demote on silence.
+        registry) yields the no-evidence verdict.
         """
-        return self.history.evaluate(
-            objective,
-            None if self.history.max_horizon_s == self.horizon_s
-            else self.horizon_s,
-        )
-
-    def burn_rate(self, name: str) -> float:
-        """Trailing-window burn for the objective called ``name``."""
-        for objective in self.objectives:
-            if objective.name == name:
-                return self.evaluate(objective).burn_rate
-        raise KeyError(f"no objective named {name!r}")
-
-    def evaluate_all(self) -> list[SLOVerdict]:
-        """Trailing-window verdicts, declaration order."""
-        return [self.evaluate(objective) for objective in self.objectives]
+        pair = self._pair_samples(horizon_s)
+        if pair is None:
+            return _verdict(objective, {}, {})
+        return _verdict(objective, pair[0][1], pair[1][1])
 
 
 def render_slo_report(verdicts: list[SLOVerdict]) -> str:

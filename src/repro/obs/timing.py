@@ -1,11 +1,10 @@
-"""Latency timing: context-manager, decorator, and span events."""
+"""Latency timing: context manager and decorator feeding histograms."""
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.trace import _CURRENT_SPAN
@@ -29,63 +28,24 @@ def wall_time_of(perf_s: float) -> float:
     return _EPOCH_WALL_S + (perf_s - _EPOCH_PERF_S)
 
 
-@dataclass(frozen=True)
-class SpanEvent:
-    """One timed operation: name, monotonic start, and duration.
-
-    ``start_s`` is a :func:`time.perf_counter` reading — meaningful for
-    ordering and deltas within a process.  :meth:`to_dict` additionally
-    reports ``wall_start_s``, the same instant anchored to the process
-    epoch (:func:`process_epoch`), so exports carry absolute timestamps.
-    """
-
-    name: str
-    start_s: float
-    duration_s: float
-    attrs: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def wall_start_s(self) -> float:
-        """Absolute (Unix) start time, via the process epoch anchor."""
-        return wall_time_of(self.start_s)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form."""
-        out: dict[str, Any] = {
-            "name": self.name,
-            "start_s": self.start_s,
-            "wall_start_s": self.wall_start_s,
-            "duration_s": self.duration_s,
-        }
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        return out
-
-
 class Timer:
     """Context manager feeding a latency histogram (seconds).
 
     >>> with Timer("dsp.features.mfcc_s"):
     ...     do_work()
 
-    With ``span=True`` the timing is additionally recorded as a
-    :class:`SpanEvent` in the registry's recent-span ring.  When the
-    registry is disabled the context manager does nothing at all.
+    When the registry is disabled the context manager does nothing at
+    all.  Inside a live trace the sample carries the trace id as its
+    exemplar; a stage that should appear *in* the trace opens its own
+    :meth:`repro.obs.trace.Tracer.stage` over the same interval.
     """
 
-    __slots__ = ("name", "registry", "span", "attrs", "elapsed_s", "_start")
+    __slots__ = ("name", "registry", "elapsed_s", "_start")
 
-    def __init__(
-        self,
-        name: str,
-        registry: MetricsRegistry | None = None,
-        span: bool = False,
-        attrs: dict[str, Any] | None = None,
-    ) -> None:
+    def __init__(self, name: str,
+                 registry: MetricsRegistry | None = None) -> None:
         self.name = name
         self.registry = registry if registry is not None else get_registry()
-        self.span = span
-        self.attrs = attrs
         self.elapsed_s: float | None = None
         self._start = 0.0
 
@@ -107,22 +67,9 @@ class Timer:
                     if ambient is not None and ambient.sampled
                     and ambient.head_sampled else None)
         self.registry.observe(self.name, self.elapsed_s, trace_id)
-        if self.span:
-            self.registry.record_span(
-                SpanEvent(
-                    name=self.name,
-                    start_s=self._start,
-                    duration_s=self.elapsed_s,
-                    attrs=self.attrs or {},
-                )
-            )
 
 
-def timed(
-    name: str,
-    registry: MetricsRegistry | None = None,
-    span: bool = False,
-) -> Callable:
+def timed(name: str, registry: MetricsRegistry | None = None) -> Callable:
     """Decorator recording each call's latency into histogram ``name``.
 
     >>> @timed("affect.pipeline.train_s")
@@ -132,7 +79,7 @@ def timed(
     def decorate(func: Callable) -> Callable:
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
-            with Timer(name, registry=registry, span=span):
+            with Timer(name, registry=registry):
                 return func(*args, **kwargs)
 
         return wrapper

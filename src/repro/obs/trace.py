@@ -9,10 +9,9 @@ to a stage instead of vanishing into a p99.
 Design constraints, matching the rest of the repo:
 
 - **zero dependencies** — pure stdlib (``contextvars``, ``threading``);
-- **deterministic** — span/trace IDs derive from a seeded counter plus
-  the caller's workload time, never from wall clock or ``os.urandom``,
-  so two identical runs emit identical traces and tests can assert on
-  IDs;
+- **deterministic** — span/trace IDs derive from a seeded counter,
+  never from wall clock or ``os.urandom``, so two identical runs emit
+  identical traces and tests can assert on IDs;
 - **bounded** — finished spans land in a ring (default 4096); a
   long-running server never grows tracing state without bound;
 - **cheap when off** — a disabled registry or a head-sampling miss
@@ -183,11 +182,6 @@ class Span:
         return self._links if self._links is not None else []
 
     @property
-    def recording(self) -> bool:
-        """Whether mutations will be kept (sampled and not yet ended)."""
-        return self.end_perf_s is None
-
-    @property
     def duration_s(self) -> float:
         """Elapsed seconds (0.0 while still open)."""
         if self.end_perf_s is None:
@@ -275,10 +269,6 @@ class _NoopSpan(Span):
             parent_id=None,
             start_perf_s=0.0,
         )
-
-    @property
-    def recording(self) -> bool:  # noqa: D102 - inherited meaning
-        return False
 
     def set_attr(self, key: str, value: Any) -> None:
         return
@@ -643,45 +633,11 @@ class Tracer:
 
     # -- deterministic identity --------------------------------------------
 
-    def _trace_id(self, workload_time: float) -> str:
-        """One 16-byte trace ID from the seeded counter.
-
-        When every trace is kept (``sample_rate >= 1.0``) the ID is a
-        cheap seed-prefixed counter — nobody reads its bits.  Under
-        fractional sampling the counter is scrambled with one 64-bit
-        multiplicative mix (Knuth-style; a single C-level int multiply,
-        far cheaper than a cryptographic hash) so the head sampler can
-        treat the top bits as a uniform draw, still reproducible for
-        equal ``(seed, tick)``.
-        """
-        if self.sample_rate >= 1.0:
-            # +1 keeps the very first ID at seed 0 distinct from the
-            # all-zero NOOP_SPAN identity.
-            return self._trace_prefix + format(
-                (next(self._ticks) + 1) & 0xFFFFFFFFFFFFFFFFFFFFFFFF, "024x"
-            )
-        tick = next(self._ticks) + 1
-        mixed = (((tick ^ (self.seed * 0x9E3779B97F4A7C15))
-                  * 0x2545F4914F6CDD1D) & 0xFFFFFFFFFFFFFFFF)
-        return (format(mixed, "016x") + self._trace_prefix
-                + format(tick & 0xFFFFFFFF, "08x"))
-
     def _span_id(self) -> str:
         """One 8-byte span ID: seed prefix + counter (cheap hot path)."""
         return self._span_prefix + format(
             (next(self._ticks) + 1) & 0xFFFFFFFFFF, "010x"
         )
-
-    def _sampled(self, trace_id: str) -> bool:
-        """Deterministic head-sampling verdict for a fresh trace ID."""
-        if self.sample_rate >= 1.0:
-            return True
-        if self.sample_rate <= 0.0:
-            return False
-        # The ID is already a uniform hash; its top 8 hex digits are a
-        # uniform draw in [0, 1) — no extra RNG state to carry.
-        draw = int(trace_id[:8], 16) / float(0x100000000)
-        return draw < self.sample_rate
 
     # -- span lifecycle -----------------------------------------------------
 
@@ -721,14 +677,21 @@ class Tracer:
             trace_id = parent.trace_id
             parent_id = parent.span_id
         elif self.sample_rate >= 1.0:
-            trace_id = self._trace_id(workload_time)
+            # Every trace is kept, so the ID is a cheap seed-prefixed
+            # counter — nobody reads its bits.  +1 keeps the very first
+            # ID at seed 0 distinct from the all-zero NOOP_SPAN identity.
+            trace_id = self._trace_prefix + format(
+                (next(self._ticks) + 1) & 0xFFFFFFFFFFFFFFFFFFFFFFFF, "024x"
+            )
             parent_id = None
         else:
-            # Fused :meth:`_trace_id` + :meth:`_sampled` for fractional
-            # roots: one mix, one ``format``, and the sampling draw
-            # compared as an integer instead of re-parsed from hex.
-            # With tail retention on, every serve window mints a root
-            # here, so the constant matters.
+            # Fractional roots scramble the counter with one 64-bit
+            # multiplicative mix (Knuth-style; one C-level int multiply,
+            # far cheaper than a cryptographic hash), so the top bits
+            # are a uniform sampling draw, compared as an integer, and
+            # still reproducible for equal ``(seed, tick)``.  With tail
+            # retention on, every serve window mints a root here, so
+            # the constant matters.
             tick = next(self._ticks) + 1
             mixed = (((tick ^ (self.seed * 0x9E3779B97F4A7C15))
                       * 0x2545F4914F6CDD1D) & 0xFFFFFFFFFFFFFFFF)
@@ -868,20 +831,6 @@ class Tracer:
         """Tail-retained spans, oldest trace first (copied under lock)."""
         with self._lock:
             return list(self._retained)
-
-    def retained_traces(self) -> dict[str, list[Span]]:
-        """Retained spans grouped by ``trace_id`` (insertion-ordered)."""
-        grouped: dict[str, list[Span]] = {}
-        for span in self.retained:
-            grouped.setdefault(span.trace_id, []).append(span)
-        return grouped
-
-    def traces(self) -> dict[str, list[Span]]:
-        """Finished spans grouped by ``trace_id`` (insertion-ordered)."""
-        grouped: dict[str, list[Span]] = {}
-        for span in self.spans:
-            grouped.setdefault(span.trace_id, []).append(span)
-        return grouped
 
 
 #: Process-wide tracer mirroring ``get_registry()``.

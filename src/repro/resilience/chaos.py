@@ -100,7 +100,7 @@ def run_chaos_workload(
     degraded_windows = 0
     sensor_failures = 0
     mode_by_window = []
-    with Timer("resilience.chaos.affect_s", span=True):
+    with Timer("resilience.chaos.affect_s"):
         for k in range(windows):
             t = k * WINDOW_PERIOD_S
             # Ground truth dwells for several windows (real moods do);
@@ -185,7 +185,7 @@ def run_chaos_workload(
     psnr_sum = 0.0
     psnr_n = 0
     decoder = Decoder(DecoderConfig(error_concealment=resilience))
-    with Timer("resilience.chaos.video_s", span=True):
+    with Timer("resilience.chaos.video_s"):
         for c in range(clips):
             frames = synthetic_video(6, height=32, width=48, seed=seed + c)
             stream = Encoder(EncoderConfig(gop_size=3)).encode(frames)
@@ -215,7 +215,7 @@ def run_chaos_workload(
     )
     events = injector.storm_events(events, catalog)
     emu_stats: dict[str, object] = {}
-    with Timer("resilience.chaos.emulator_s", span=True):
+    with Timer("resilience.chaos.emulator_s"):
         try:
             result = AndroidEmulator(catalog=catalog).run(events)
             emu_stats = {

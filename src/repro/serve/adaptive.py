@@ -13,10 +13,10 @@ ladder from three live signals:
 
 - **queue pressure** — the micro-batcher's depth against the admission
   cap, the earliest-warning overload signal;
-- **SLO burn** — trailing-window error-budget burn from
-  :class:`~repro.obs.slo.BurnWindow` (the same definition the SLO export
-  uses), so "we are violating the latency objective" demotes before the
-  queue ever fills;
+- **SLO burn** — trailing-window error-budget burn from a
+  :class:`~repro.obs.slo.SnapshotHistory` (the same definition the SLO
+  export and the alert rules use), so "we are violating the latency
+  objective" demotes before the queue ever fills;
 - **battery** — a simulated per-session :class:`~repro.hw.power.
   DeviceBattery` drained by each window's tier energy
   (:func:`~repro.hw.power.inference_energy` over the model's MAC
@@ -42,7 +42,7 @@ import numpy as np
 from repro.hw.power import DeviceBattery, FALLBACK_WINDOW_ENERGY, inference_energy
 from repro.obs import get_registry, labeled
 from repro.obs.registry import MetricsRegistry
-from repro.obs.slo import DEFAULT_SLOS, BurnWindow, SLObjective
+from repro.obs.slo import DEFAULT_SLOS, SLObjective, SnapshotHistory
 from repro.obs.trace import get_tracer
 from repro.serve.sessions import Session
 
@@ -141,7 +141,8 @@ class AdaptiveConfig:
     demote_dwell_s: float = 0.25
     #: Calm time (uninterrupted) required before each promotion step.
     promote_dwell_s: float = 3.0
-    #: Burn window geometry (see :class:`~repro.obs.slo.BurnWindow`).
+    #: Burn window geometry: the history's horizon and sample interval
+    #: (see :class:`~repro.obs.slo.SnapshotHistory`).
     burn_horizon_s: float = 4.0
     burn_sample_interval_s: float = 0.5
     #: ``(battery fraction, minimum tier index)`` ceilings, evaluated
@@ -197,11 +198,15 @@ class AdaptiveController:
                 o for o in DEFAULT_SLOS
                 if o.name in ("serve-p95-latency", "shed-rate")
             )
-        self.burn = BurnWindow(
-            objectives,
-            horizon_s=self.config.burn_horizon_s,
+        self.objectives = tuple(objectives)
+        self.history = SnapshotHistory(
+            self.objectives,
+            max_horizon_s=self.config.burn_horizon_s,
             min_interval_s=self.config.burn_sample_interval_s,
         )
+        #: Highest trailing burn over the objectives; it only changes
+        #: when the history keeps a sample.
+        self.burn = 0.0
         self.demotions = 0
         self.promotions = 0
         self.energy_drained = 0.0
@@ -211,11 +216,9 @@ class AdaptiveController:
 
     def observe(self, registry: MetricsRegistry, now: float) -> None:
         """Advance the trailing burn window (rate-limited internally)."""
-        self.burn.sample(registry, now)
-
-    def _max_burn(self) -> float:
-        burns = [v.burn_rate for v in self.burn.evaluate_all()]
-        return max(burns) if burns else 0.0
+        if self.history.sample(registry, now):
+            self.burn = max((self.history.evaluate(o).burn_rate
+                             for o in self.objectives), default=0.0)
 
     def _battery_floor(self, session: Session) -> int:
         """Lowest acceptable tier index given the session's charge."""
@@ -269,7 +272,7 @@ class AdaptiveController:
                 level=config.battery_capacity * config.initial_battery_fraction,
             )
         queue_frac = queue_depth / max_queue if max_queue > 0 else 0.0
-        burn = self._max_burn()
+        burn = self.burn
         stressed = (queue_frac >= config.demote_queue_frac
                     or burn >= config.demote_burn)
         calm = (queue_frac <= config.promote_queue_frac
@@ -330,7 +333,7 @@ class AdaptiveController:
             "demotions": self.demotions,
             "promotions": self.promotions,
             "energy_drained": self.energy_drained,
-            "burn_window_s": self.burn.span_s,
+            "burn_window_s": self.history.span_s(),
         }
 
 

@@ -120,8 +120,7 @@ class Decoder:
             # stage(): nests under whatever request is in flight (and
             # feeds the profiler's per-stage attribution) without
             # minting a root trace for every standalone decode.
-            with Timer("video.decoder.decode_s", span=True,
-                       attrs={"input_bytes": len(stream)}), \
+            with Timer("video.decoder.decode_s"), \
                     get_tracer().stage("video.decode",
                                        attrs={"input_bytes": len(stream)}):
                 result = self._decode(stream)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,10 +12,9 @@ from repro.obs.alerts import (
     DEFAULT_ALERT_RULES,
     AlertManager,
     AlertRule,
-    CallbackSink,
     JsonlSink,
     StderrSink,
-    bench_alert_rules,
+    alert_rules,
     render_alert_timeline,
 )
 from repro.obs.export import prometheus_text
@@ -91,9 +91,9 @@ class TestDefaultGeometry:
         assert ticket.burn_threshold == pytest.approx(6.0)
 
     def test_bench_rules_compress_the_same_geometry(self):
-        rules = {r.name: r for r in bench_alert_rules(
+        rules = {r.name: r for r in alert_rules(
             fast_s=1.0, slow_s=3.0, page_burn=8.0, ticket_burn=4.0,
-            resolve_after_s=0.5,
+            resolve_after_s=0.5, ticket_scale=2.0, windows="bench",
         )}
         assert set(rules) == {"latency-page", "latency-ticket",
                               "shed-page", "shed-ticket"}
@@ -131,7 +131,7 @@ class TestStateMachine:
         assert manager.state("shed-page") == "inactive"
         events = drv.tick(1.0, total=100, bad=50)  # 50% bad, burn 5x
         assert [e.state for e in events] == ["pending", "firing"]
-        assert manager.firing() == ["shed-page"]
+        assert manager.state("shed-page") == "firing"
         drv.tick(2.0, total=100)                 # calm begins
         assert manager.state("shed-page") == "firing"  # dwell not met
         events = drv.tick(3.0, total=100)        # calm held 1.0s
@@ -266,7 +266,7 @@ class TestSinksAndExport:
     def test_callback_sink_sees_every_transition(self):
         seen = []
         manager = AlertManager((shed_rule(),),
-                               sinks=(CallbackSink(seen.append),))
+                               sinks=(SimpleNamespace(emit=seen.append),))
         drv = _Driver(manager)
         drv.tick(0.0, total=100)
         drv.tick(1.0, total=100, bad=60)
@@ -278,7 +278,7 @@ class TestSinksAndExport:
             raise RuntimeError("sink down")
 
         manager = AlertManager((shed_rule(),),
-                               sinks=(CallbackSink(explode),))
+                               sinks=(SimpleNamespace(emit=explode),))
         drv = _Driver(manager)
         drv.tick(0.0, total=100)
         events = drv.tick(1.0, total=100, bad=60)
@@ -366,21 +366,20 @@ class TestSharedHistory:
         assert manager.history.min_interval_s == pytest.approx(0.25)
 
     def test_verdict_cache_tracks_history_versions(self):
-        rule = shed_rule()
+        rule = shed_rule(resolve_after_s=0.0)
         manager = AlertManager((rule,))
         registry = MetricsRegistry()
         registry.inc("total", 100)
         manager.observe(registry, 0.0)
         registry.inc("total", 100)
         registry.inc("bad", 50)
-        manager.observe(registry, 1.0)
-        fast, slow = manager.verdicts(rule)
+        (_, firing) = manager.observe(registry, 1.0)
         # Cached verdicts equal a fresh evaluation of the same history.
-        assert fast.burn_rate == manager.history.evaluate(
+        assert firing.burn_fast == manager.history.evaluate(
             rule.objective, rule.fast_window_s).burn_rate
-        assert fast.burn_rate == pytest.approx(5.0)
-        # New evidence invalidates the cache.
+        assert firing.burn_fast == pytest.approx(5.0)
+        # New evidence invalidates the cache: the calm window resolves.
         registry.inc("total", 1000)
-        manager.observe(registry, 2.0)
-        fast2, _ = manager.verdicts(rule)
-        assert fast2.burn_rate < fast.burn_rate
+        (resolved,) = manager.observe(registry, 2.0)
+        assert resolved.state == "resolved"
+        assert resolved.burn_fast < firing.burn_fast

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import queue
 import random
+import signal
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -887,3 +892,47 @@ class TestProfPlane:
             assert daemon._heap is None  # stop() tore tracemalloc down
 
         asyncio.run(run())
+
+
+class TestDaemonCli:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["sigint", "sigterm"])
+    def test_signal_stops_cleanly_with_sigint_ignored(self, tmp_path, signum):
+        # A background job (`cmd &`) of a non-interactive shell starts
+        # with SIGINT ignored; both signals must still drain and exit 0.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "daemon",
+             "--port", "0", "--admin-port", "0",
+             "--bundle-dir", str(tmp_path / "incidents")],
+            cwd=tmp_path, env=env, stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        lines: queue.Queue[str | None] = queue.Queue()
+
+        def read() -> None:
+            for line in proc.stdout:
+                lines.put(line.rstrip("\n"))
+            lines.put(None)
+
+        threading.Thread(target=read, daemon=True).start()
+        seen: list[str] = []
+        try:
+            while not (seen and seen[-1].startswith("gates:")):
+                line = lines.get(timeout=120)
+                assert line is not None, f"daemon exited early: {seen}"
+                seen.append(line)
+            proc.send_signal(signum)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        while (line := lines.get(timeout=10)) is not None:
+            seen.append(line)
+        assert seen[-1] == "daemon stopped"
