@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -23,40 +24,52 @@ from repro.obs.workload import run_canned_workload
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_obs.json"
-REPEATS = 4
+PAIRS = 20
 
 
-def _best_workload_time(enabled: bool) -> float:
-    """Fastest of ``REPEATS`` workload runs with the registry toggled."""
+def _workload_time(enabled: bool) -> float:
+    """Wall seconds of one workload run with the registry toggled."""
     registry = get_registry()
     previous = registry.enabled
-    best = float("inf")
     try:
         registry.enabled = enabled
-        for _ in range(REPEATS):
-            registry.reset()
-            start = time.perf_counter()
-            run_canned_workload(seed=0)
-            best = min(best, time.perf_counter() - start)
+        registry.reset()
+        start = time.perf_counter()
+        run_canned_workload(seed=0)
+        return time.perf_counter() - start
     finally:
         registry.enabled = previous
-    return best
 
 
 def test_obs_snapshot_and_overhead():
-    disabled_s = _best_workload_time(enabled=False)
-    enabled_s = _best_workload_time(enabled=True)
-    overhead = enabled_s / disabled_s - 1.0
-
-    # The last enabled run left a full metrics snapshot in the registry.
-    registry = get_registry()
-    snapshot = registry.snapshot()
+    # Paired arms, the protocol of measure_monitor_overhead: the two
+    # runs of a pair see the same phase of host drift, which cancels in
+    # their ratio; the first arm alternates from pair to pair, one
+    # warm-up pair is discarded, and the median ratio is gated.
+    times: dict[bool, list[float]] = {False: [], True: []}
+    ratios: list[float] = []
+    snapshot: dict = {}
+    for i in range(PAIRS + 1):
+        pair: dict[bool, float] = {}
+        for enabled in ((False, True) if i % 2 == 0 else (True, False)):
+            pair[enabled] = _workload_time(enabled)
+            if enabled:
+                # A registry-on run leaves a full metrics snapshot.
+                snapshot = get_registry().snapshot()
+        if i == 0:
+            continue
+        for enabled, wall_s in pair.items():
+            times[enabled].append(wall_s)
+        ratios.append(pair[True] / pair[False])
+    disabled_s = statistics.median(times[False])
+    enabled_s = statistics.median(times[True])
+    overhead = statistics.median(ratios) - 1.0
 
     payload = {
         "benchmark": "obs_overhead",
         "workload": "repro.obs.workload.run_canned_workload(seed=0)",
         "python": platform.python_version(),
-        "repeats": REPEATS,
+        "repeats": PAIRS,
         "workload_s_disabled": disabled_s,
         "workload_s_enabled": enabled_s,
         "overhead_fraction": overhead,
@@ -66,11 +79,11 @@ def test_obs_snapshot_and_overhead():
 
     report(
         "Observability overhead (canned end-to-end workload)",
-        ["registry", "best of 4 (s)"],
+        ["registry", f"median of {PAIRS} pairs (s)"],
         [
             ["disabled", f"{disabled_s:.3f}"],
             ["enabled", f"{enabled_s:.3f}"],
-            ["overhead", f"{overhead * 100:.2f}%"],
+            ["overhead (median paired ratio)", f"{overhead * 100:.2f}%"],
         ],
     )
 

@@ -737,7 +737,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--bundle-dir", type=str, default="incidents",
-        help="monitor: directory incident bundles are written under",
+        help="monitor/daemon: directory incident bundles are written under",
     )
     parser.add_argument(
         "--alert-log", type=str, default=None,

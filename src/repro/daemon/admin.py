@@ -96,8 +96,6 @@ def _read_json(path: Path) -> object:
 
 
 def _bundle_ids(daemon: "ReproDaemon") -> list[str]:
-    if daemon.recorder is None:
-        return []
     return [Path(str(p)).name for p in daemon.recorder.bundles]
 
 
@@ -109,8 +107,6 @@ def _bundle_payload(daemon: "ReproDaemon",
     served; the lookup walks the recorder's list instead of joining the
     id into a filesystem path.
     """
-    if daemon.recorder is None:
-        return None
     for recorded in daemon.recorder.bundles:
         path = Path(str(recorded))
         if path.name != bundle_id:
@@ -164,11 +160,6 @@ def route(daemon: "ReproDaemon", method: str, target: str) -> bytes:
 async def _route_prof(daemon: "ReproDaemon", path: str,
                       target: str) -> bytes:
     """One ``/debug/prof/<kind>`` request to a wire-ready response."""
-    if daemon.profiler is None:
-        return _json_response(
-            "503 Service Unavailable",
-            {"error": "profiling disabled (DaemonConfig.profile=False)"},
-        )
     kind = path[len("/debug/prof/"):]
     if kind == "cpu":
         seconds = _parse_prof_seconds(target)

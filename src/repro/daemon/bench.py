@@ -338,7 +338,7 @@ async def _bench_async(
     connect: tuple[str, int] | None,
     admin: tuple[str, int] | None,
 ) -> dict[str, object]:
-    from repro.serve.bench import POOL_SIZE, _make_pool, train_bench_pipeline
+    from repro.serve.bench import POOL_SIZE, make_pool, train_bench_pipeline
 
     windows_each = max(2, int(round(seconds / period_s)))
     spawn = connect is None
@@ -368,7 +368,7 @@ async def _bench_async(
         label_names = pipeline.classifier.label_names
 
     try:
-        pool = _make_pool(label_names, POOL_SIZE, seed)
+        pool, _ = make_pool(label_names, POOL_SIZE, seed)
         pool_b64 = [protocol.encode_signal(w) for w in pool]
         frames = _make_frames(sessions, windows_each, seed, pool_b64)
         records, shared, wall_s = await _drive_clients(

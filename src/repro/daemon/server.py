@@ -92,19 +92,13 @@ class DaemonConfig:
     #: Admin HTTP port; ``0`` binds an ephemeral port.
     admin_port: int = 0
     #: Connection-cap admission gate: at capacity, a new hello preempts
-    #: the least-recently-active connection (or is refused when
-    #: ``preempt`` is off).
+    #: the least-recently-active connection.
     max_connections: int = 64
     #: Per-session in-flight gate: windows submitted but unanswered
     #: beyond this are shed at the daemon with a degraded reply.
     max_inflight: int = 8
-    preempt: bool = True
-    #: Attach the burn-rate alerting + flight-recorder stack.
-    monitor: bool = True
+    #: Where the flight recorder writes incident bundles.
     bundle_dir: str = "incidents"
-    #: Attach the resident continuous profiler (stack sampler + the
-    #: admin plane's ``/debug/prof/*`` endpoints).
-    profile: bool = True
 
     def __post_init__(self) -> None:
         if self.max_connections < 1:
@@ -167,30 +161,23 @@ class ReproDaemon:
         self.daemon_shed = 0
         self.unroutable = 0
         self.protocol_errors = 0
-        if self.config.monitor:
-            self.manager, self.recorder = make_monitor(
-                bundle_dir=self.config.bundle_dir
-            )
-        else:
-            self.manager, self.recorder = None, None
+        self.manager, self.recorder = make_monitor(
+            bundle_dir=self.config.bundle_dir
+        )
         #: Resident stack sampler; the heap profiler starts lazily on
         #: the first ``/debug/prof/heap`` hit (tracemalloc is too heavy
         #: to keep always-on).
-        self.profiler: StackSampler | None = (
-            StackSampler() if self.config.profile else None
-        )
+        self.profiler = StackSampler()
         self._heap: HeapProfiler | None = None
-        self.profile_recorder: ProfileRecorder | None = None
-        if self.manager is not None and self.profiler is not None:
-            # Appended after the flight recorder (make_monitor put it in
-            # sinks first), so by the time this sink sees a page the
-            # incident bundle directory exists and the profile snapshot
-            # lands inside it.
-            self.profile_recorder = ProfileRecorder(
-                self.profiler, recorder=self.recorder,
-                profile_dir=self.config.bundle_dir,
-            )
-            self.manager.sinks.append(self.profile_recorder)
+        # Appended after the flight recorder (make_monitor put it in
+        # sinks first), so by the time this sink sees a page the
+        # incident bundle directory exists and the profile snapshot
+        # lands inside it.
+        self.profile_recorder = ProfileRecorder(
+            self.profiler, recorder=self.recorder,
+            profile_dir=self.config.bundle_dir,
+        )
+        self.manager.sinks.append(self.profile_recorder)
 
     # -- clock -------------------------------------------------------------
 
@@ -214,8 +201,7 @@ class ReproDaemon:
             lambda r, w: handle_admin(self, r, w), cfg.host, cfg.admin_port
         )
         self.admin_port = self._admin.sockets[0].getsockname()[1]
-        if self.profiler is not None:
-            self.profiler.start()
+        self.profiler.start()
         if "OPENBLAS_NUM_THREADS" not in os.environ:
             # After training, so set-up keeps the full pool; an
             # operator's explicit thread count is left alone.
@@ -254,8 +240,7 @@ class ReproDaemon:
         if self._blas_restore is not None:
             set_blas_threads(self._blas_restore)
             self._blas_restore = None
-        if self.profiler is not None:
-            self.profiler.stop()
+        self.profiler.stop()
         if self._heap is not None:
             self._heap.stop()
             self._heap = None
@@ -272,10 +257,8 @@ class ReproDaemon:
         if self._heap is None:
             self._heap = HeapProfiler()
             self._heap.start()
-            if self.profiler is not None:
-                self.profiler.heap = self._heap
-            if self.profile_recorder is not None:
-                self.profile_recorder.heap = self._heap
+            self.profiler.heap = self._heap
+            self.profile_recorder.heap = self._heap
         return self._heap
 
     def _run(self, fn, *args):
@@ -337,8 +320,6 @@ class ReproDaemon:
                 return
             session_id = protocol.parse_hello(hello)
             conn = self._admit(session_id, writer)
-            if conn is None:
-                return
             self._send(conn, {
                 "type": "welcome", "session": session_id,
                 "proto": protocol.PROTOCOL_VERSION,
@@ -497,9 +478,8 @@ class ReproDaemon:
     # -- admission / preemption --------------------------------------------
 
     def _admit(self, session_id: str,
-               writer: asyncio.StreamWriter) -> _Connection | None:
-        """Admission gate; returns the registered connection or ``None``."""
-        obs = get_registry()
+               writer: asyncio.StreamWriter) -> _Connection:
+        """Admission gate: make room, then register the connection."""
         existing = self._routes.get(session_id)
         if existing is not None:
             # Same-session takeover: the newest connection wins; the old
@@ -507,14 +487,6 @@ class ReproDaemon:
             # connection starts from a clean (unpoisoned) session.
             self._preempt(existing, reason="takeover")
         while len(self._routes) >= self.config.max_connections:
-            if not self.config.preempt:
-                obs.inc(labeled("daemon.refused", reason="capacity"))
-                self._send_to(writer, {
-                    "type": "error",
-                    "error": f"at capacity "
-                             f"({self.config.max_connections} connections)",
-                })
-                return None
             victim = min(self._routes.values(),
                          key=lambda c: c.last_active)
             self._preempt(victim, reason="capacity")
@@ -627,8 +599,7 @@ class ReproDaemon:
             obs.set_gauge("daemon.sessions.active",
                           len(self.server.sessions))
             obs.set_gauge("daemon.uptime_s", now)
-            if self.manager is not None:
-                # Both are internally rate-limited, so per-tick calls
-                # cost one comparison in the common case.
-                self.manager.observe(obs, now)
-                self.recorder.record(obs, now)
+            # Both are internally rate-limited, so per-tick calls cost
+            # one comparison in the common case.
+            self.manager.observe(obs, now)
+            self.recorder.record(obs, now)

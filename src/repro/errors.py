@@ -54,14 +54,6 @@ class InjectedFault(ReproError):
     never raised in production paths."""
 
 
-class OverloadShedError(ReproError):
-    """Admission control refused a request: the serving queue is full.
-
-    Only raised by the strict admission mode; the default serving path
-    sheds to a degraded (neutral / last-good) result instead of raising.
-    """
-
-
 class SessionEvictedError(ReproError, KeyError):
     """A serving request referenced a session that was evicted (idle TTL
     or LRU capacity) and strict session affinity was requested."""
@@ -86,7 +78,6 @@ __all__ = [
     "InferenceTimeoutError",
     "CircuitOpenError",
     "InjectedFault",
-    "OverloadShedError",
     "SessionEvictedError",
     "ProtocolError",
     "FrameTooLargeError",

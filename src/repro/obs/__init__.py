@@ -19,17 +19,17 @@ numbers — and, since PR 5, to *follow one request* through them:
   error-budget/burn-rate verdicts over shared snapshot histories;
 - alerting (:mod:`repro.obs.alerts`) — multi-window burn-rate rules
   with a pending→firing→resolved state machine and pluggable sinks;
-- tail retention (:class:`RetentionPolicy`) — error/SLO-violating/slow
-  traces survive head sampling in a separate bounded ring;
+- tail retention (:class:`RetentionPolicy`) — error, shed, degraded and
+  SLO-violating traces survive head sampling in a separate bounded ring;
 - the flight recorder (:mod:`repro.obs.flight`) — periodic registry
   snapshots plus retained traces, dumped as incident bundles when a
   page-tier alert fires (``repro monitor`` drives the whole stack);
 - continuous profiling (:mod:`repro.obs.prof`) — a sampling stack
   profiler with per-stage attribution and collapsed-stack/flamegraph
-  export, ``tracemalloc``-based allocation tracking whose growth gauge
-  can page through the alert engine, and a :class:`ProfileRecorder`
-  sink that snapshots the live profile into incident bundles
-  (``repro profile`` and the daemon's ``/debug/prof/*`` drive it).
+  export, ``tracemalloc``-based allocation tracking, and a
+  :class:`ProfileRecorder` sink that snapshots the live profile into
+  incident bundles (``repro profile`` and the daemon's ``/debug/prof/*``
+  drive it).
 
 Instrumentation is default-on but cheap: a disabled registry turns every
 ``inc``/``observe``/``Timer``/span into a no-op, and the enabled path is
@@ -48,8 +48,6 @@ from repro.obs.prof import (
     HeapProfiler,
     ProfileRecorder,
     StackSampler,
-    heap_growth_objective,
-    heap_growth_rule,
     parse_collapsed,
     profile_counter_events,
 )
@@ -92,8 +90,6 @@ __all__ = [
     "Tracer",
     "get_registry",
     "get_tracer",
-    "heap_growth_objective",
-    "heap_growth_rule",
     "labeled",
     "parse_collapsed",
     "process_epoch",

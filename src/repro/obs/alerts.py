@@ -26,8 +26,7 @@ runs a pending→firing→resolved state machine per rule, deduplicates
 notifications (one per firing episode), damps flapping via ``for_s``
 dwell and ``resolve_after_s`` calm requirements, and publishes every
 transition to sinks: any object with an ``emit(event)`` method
-(:class:`StderrSink`, :class:`JsonlSink`; the flight recorder is just
-another sink).
+(:class:`JsonlSink`; the flight recorder is just another sink).
 
 Evidence discipline: a window with no subtractable samples — startup,
 or a registry reset racing the evaluator — yields the no-evidence
@@ -39,11 +38,9 @@ outage).  All timing is caller-supplied workload time.
 from __future__ import annotations
 
 import json
-import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import TextIO
 
 from repro.obs.registry import MetricsRegistry, labeled
 from repro.obs.slo import DEFAULT_SLOS, SLObjective, SLOVerdict, SnapshotHistory
@@ -166,17 +163,6 @@ class AlertEvent:
         if self.reason:
             line += f" ({self.reason})"
         return line
-
-
-class StderrSink:
-    """Render every transition as one line on a text stream."""
-
-    def __init__(self, stream: TextIO | None = None) -> None:
-        self.stream = stream
-
-    def emit(self, event: AlertEvent) -> None:
-        stream = self.stream if self.stream is not None else sys.stderr
-        print(f"ALERT {event.render()}", file=stream)
 
 
 class JsonlSink:

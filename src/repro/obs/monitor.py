@@ -35,7 +35,6 @@ from typing import Any
 from repro.obs.alerts import (
     AlertManager,
     JsonlSink,
-    StderrSink,
     alert_rules,
     render_alert_timeline,
 )
@@ -62,7 +61,6 @@ MONITOR_TICKET_SCALE = 2.0
 def make_monitor(
     bundle_dir: str = "incidents",
     alert_log: str | None = None,
-    stderr: bool = False,
     max_bundles: int = 4,
 ) -> tuple[AlertManager, FlightRecorder]:
     """One wired alerting stack: manager + flight recorder as its sink."""
@@ -86,8 +84,6 @@ def make_monitor(
     manager.sinks.append(recorder)
     if alert_log:
         manager.sinks.append(JsonlSink(alert_log))
-    if stderr:
-        manager.sinks.append(StderrSink())
     return manager, recorder
 
 
@@ -135,7 +131,6 @@ def run_monitored_surge(
     sample_rate: float = 0.01,
     bundle_dir: str = "incidents",
     alert_log: str | None = None,
-    stderr: bool = False,
     cooldown_s: float = 3.0,
 ) -> dict[str, object]:
     """The surge chaos plan under full monitoring; returns report + gates.
@@ -148,24 +143,25 @@ def run_monitored_surge(
     (monitoring outlives traffic), which is what lets the page resolve.
     """
     from repro.resilience.chaos import surge_plan_fixtures
-    from repro.serve.adaptive_bench import POLL_PERIOD_S, run_surge_arm
+    from repro.serve.adaptive_bench import (
+        LATENCY_SLO,
+        POLL_PERIOD_S,
+        run_surge_arm,
+    )
 
     fixtures = surge_plan_fixtures(seed, sessions, seconds, surge_scale, plan)
     surge_start_s = float(fixtures["surge_start_s"])  # type: ignore[arg-type]
 
     registry = get_registry()
     tracer = get_tracer()
-    previous_rate = tracer.sample_rate
-    previous_retention = tracer.retention
-    slow_latency_s = 0.5  # the serve-p95-latency SLO threshold
-    tracer.configure(
+    slow_latency_s = LATENCY_SLO.threshold
+    previous = tracer.configure(
         sample_rate=sample_rate, seed=seed,
         retention=RetentionPolicy(slow_latency_s=slow_latency_s),
     )
     tracer.clear()
-    manager, recorder = make_monitor(
-        bundle_dir=bundle_dir, alert_log=alert_log, stderr=stderr,
-    )
+    manager, recorder = make_monitor(bundle_dir=bundle_dir,
+                                     alert_log=alert_log)
 
     def on_tick(server: Any, now: float) -> None:
         manager.observe(registry, now)
@@ -187,8 +183,7 @@ def run_monitored_surge(
             arm.pop("_results", []) or [], slow_latency_s,
         )
     finally:
-        tracer.configure(sample_rate=previous_rate,
-                         retention=previous_retention)
+        tracer.configure(**previous)
 
     timeline = manager.timeline()
     page_fired = [e for e in timeline
@@ -287,8 +282,7 @@ def measure_monitor_overhead(
         pipeline = train_bench_pipeline(seed=seed)
     registry = get_registry()
     tracer = get_tracer()
-    previous_rate = tracer.sample_rate
-    previous_retention = tracer.retention
+    previous = tracer.configure(sample_rate=1.0, seed=seed, retention=None)
 
     def one_run(arm: str) -> float:
         registry.reset()
@@ -334,8 +328,7 @@ def measure_monitor_overhead(
             vs_default.append(walls["monitored"] / walls["default"])
             vs_untraced.append(walls["monitored"] / walls["untraced"])
     finally:
-        tracer.configure(sample_rate=previous_rate,
-                         retention=previous_retention)
+        tracer.configure(**previous)
         tracer.clear()
         registry.reset()
     return {

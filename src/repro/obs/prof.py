@@ -22,10 +22,8 @@ Three cooperating pieces:
   id and so does the table.
 - :class:`HeapProfiler` — ``tracemalloc``-based allocation accounting:
   top-N allocation sites from snapshot deltas, per-stage net bytes via
-  a scope hook, and a growth-rate gauge
-  (``prof.heap.growth_bytes_per_s``) that feeds the alert engine
-  through a ``gauge``-kind SLO objective so a leak pages exactly like
-  an SLO burn (:func:`heap_growth_rule`).
+  a scope hook, and ``prof.heap.*`` gauges (traced, peak and growth
+  rate) that ``/debug/prof/heap`` and ``repro profile`` report.
 - Exporters — :meth:`StackSampler.collapsed` emits the collapsed-stack
   format (``frame;frame;frame count`` — flamegraph.pl and speedscope
   open it directly), :func:`profile_counter_events` emits Perfetto
@@ -57,9 +55,8 @@ from collections import deque
 from typing import Any
 
 from repro.obs import trace as _trace
-from repro.obs.alerts import SEVERITY_PAGE, STATE_FIRING, AlertRule
+from repro.obs.alerts import SEVERITY_PAGE, STATE_FIRING
 from repro.obs.registry import MetricsRegistry, get_registry, labeled
-from repro.obs.slo import SLObjective
 from repro.obs.timing import wall_time_of
 from repro.obs.trace import current_stage_of
 
@@ -71,7 +68,20 @@ DEFAULT_INTERVAL_S = 0.01
 
 #: Stacks deeper than this are truncated at the root end (the leaf-side
 #: frames are the interesting ones for attribution).
-DEFAULT_MAX_DEPTH = 64
+MAX_DEPTH = 64
+#: Sampling passes between two publications of the ``prof.*`` gauges.
+PUBLISH_EVERY = 50
+#: Wall seconds between two heap samples when a heap profiler rides on
+#: the sampler thread (≈4 Hz).
+HEAP_PERIOD_S = 0.25
+#: Passes (stack sampler) and samples (heap profiler) kept for the
+#: Perfetto counter tracks.
+SAMPLER_TIMELINE_LEN = 4096
+HEAP_TIMELINE_LEN = 2048
+#: Allocation sites a heap report lists.
+HEAP_TOP_N = 12
+#: Profiles one :class:`ProfileRecorder` writes before it stops.
+MAX_PROFILES = 4
 
 #: Frame label cache keyed by code object (strong refs — bounded by the
 #: program's code, which is what a profiler enumerates anyway).
@@ -126,32 +136,22 @@ class StackSampler:
     against a sampling pass.
 
     ``heap``: an optional :class:`HeapProfiler` sampled every
-    ``heap_every`` passes (default ≈4 Hz) from the sampler thread, so
-    one thread drives both profiles.
+    :data:`HEAP_PERIOD_S` from the sampler thread, so one thread drives
+    both profiles.
     """
 
     def __init__(
         self,
         interval_s: float = DEFAULT_INTERVAL_S,
         registry: MetricsRegistry | None = None,
-        max_depth: int = DEFAULT_MAX_DEPTH,
-        publish_every: int = 50,
         heap: "HeapProfiler | None" = None,
-        heap_every: int | None = None,
-        timeline_len: int = 4096,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
-        if max_depth <= 0:
-            raise ValueError("max_depth must be positive")
         self.interval_s = interval_s
         self.registry = registry if registry is not None else get_registry()
-        self.max_depth = max_depth
-        self.publish_every = max(1, publish_every)
         self.heap = heap
-        if heap_every is None:
-            heap_every = max(1, int(round(0.25 / interval_s)))
-        self.heap_every = heap_every
+        self.heap_every = max(1, int(round(HEAP_PERIOD_S / interval_s)))
         self._root = _TrieNode()
         self._lock = threading.Lock()
         self._state_lock = threading.Lock()
@@ -159,7 +159,7 @@ class StackSampler:
         self._stop_event = threading.Event()
         self._thread_names: dict[int, str] = {}
         self._timeline: deque[tuple[float, int, int]] = deque(
-            maxlen=timeline_len)
+            maxlen=SAMPLER_TIMELINE_LEN)
         self._passes = 0
         self.samples_total = 0
         self.attributed_total = 0
@@ -218,7 +218,7 @@ class StackSampler:
                     self.heap.sample()
                 except Exception:
                     self.registry.inc("prof.heap.sample_errors")
-            if self._passes % self.publish_every == 0:
+            if self._passes % PUBLISH_EVERY == 0:
                 self.publish()
 
     # -- sampling -----------------------------------------------------------
@@ -243,7 +243,7 @@ class StackSampler:
                 labels: list[str] = []
                 depth = 0
                 f = frame
-                while f is not None and depth < self.max_depth:
+                while f is not None and depth < MAX_DEPTH:
                     labels.append(_frame_label(f))
                     f = f.f_back
                     depth += 1
@@ -406,9 +406,8 @@ class HeapProfiler:
     itself as the tracer's heap hook so tracked stage scopes report
     per-stage net allocated bytes, and baselines the traced size.
     :meth:`sample` (driven by a :class:`StackSampler` or called
-    directly) updates the ``prof.heap.*`` gauges — most importantly
-    ``prof.heap.growth_bytes_per_s``, the signal
-    :func:`heap_growth_rule` turns into a page.
+    directly) updates the ``prof.heap.*`` gauges, among them the growth
+    rate ``prof.heap.growth_bytes_per_s``.
 
     Cost note: ``tracemalloc`` instruments every Python allocation and
     is *much* heavier than stack sampling — it is deliberately **not**
@@ -416,16 +415,14 @@ class HeapProfiler:
     chasing memory, not always-on.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None,
-                 top_n: int = 12, timeline_len: int = 2048) -> None:
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else get_registry()
-        self.top_n = top_n
         self.running = False
         self._started_tracing = False
         self._previous_hook: Any | None = None
         self._lock = threading.Lock()
         self._timeline: deque[tuple[float, int, float]] = deque(
-            maxlen=timeline_len)
+            maxlen=HEAP_TIMELINE_LEN)
         self._last: tuple[float, int] | None = None
         self.baseline_bytes = 0
         self.growth_bytes_per_s = 0.0
@@ -501,7 +498,7 @@ class HeapProfiler:
         return {"current_bytes": float(current), "peak_bytes": float(peak),
                 "growth_bytes_per_s": growth}
 
-    def top(self, n: int | None = None) -> list[dict[str, Any]]:
+    def top(self, n: int = HEAP_TOP_N) -> list[dict[str, Any]]:
         """Top allocation sites by net size (one ``tracemalloc`` snapshot)."""
         if not tracemalloc.is_tracing():
             return []
@@ -512,7 +509,7 @@ class HeapProfiler:
         ))
         stats = snapshot.statistics("lineno")
         out: list[dict[str, Any]] = []
-        for stat in stats[: n if n is not None else self.top_n]:
+        for stat in stats[:n]:
             frame = stat.traceback[0]
             out.append({
                 "site": f"{frame.filename}:{frame.lineno}",
@@ -526,7 +523,7 @@ class HeapProfiler:
         with self._lock:
             return list(self._timeline)
 
-    def report(self, top: bool = True) -> dict[str, Any]:
+    def report(self) -> dict[str, Any]:
         """JSON-serializable heap summary (gauges + stages + top sites)."""
         tracing = tracemalloc.is_tracing()
         current, peak = (tracemalloc.get_traced_memory() if tracing
@@ -543,59 +540,8 @@ class HeapProfiler:
             "growth_bytes_per_s": growth,
             "stage_net_bytes": dict(
                 sorted(stage_net.items(), key=lambda kv: -abs(kv[1]))),
-            "top_sites": self.top() if top else [],
+            "top_sites": self.top(),
         }
-
-
-# -- leak paging --------------------------------------------------------------
-
-#: Default ceiling for sustained heap growth before the leak rule
-#: pages: 32 MiB/s sustained across both burn windows is far beyond any
-#: legitimate steady-state churn in this runtime.
-DEFAULT_HEAP_GROWTH_CEILING = 32.0 * 1024 * 1024
-
-
-def heap_growth_objective(
-    ceiling_bytes_per_s: float = DEFAULT_HEAP_GROWTH_CEILING,
-) -> SLObjective:
-    """A gauge-kind objective over the heap growth-rate gauge."""
-    return SLObjective(
-        name="heap-growth-rate",
-        kind="gauge",
-        metric="prof.heap.growth_bytes_per_s",
-        threshold=ceiling_bytes_per_s,
-        description=(
-            "sustained tracemalloc growth stays under "
-            f"{ceiling_bytes_per_s / 1e6:.0f} MB/s (leak detector)"
-        ),
-    )
-
-
-def heap_growth_rule(
-    ceiling_bytes_per_s: float = DEFAULT_HEAP_GROWTH_CEILING,
-    fast_window_s: float = 1.0,
-    slow_window_s: float = 3.0,
-    for_s: float = 0.0,
-    resolve_after_s: float = 0.5,
-) -> AlertRule:
-    """A page-severity leak rule for the existing alert engine.
-
-    Gauge burn is ``value / ceiling``, so ``burn_threshold=1.0`` means
-    "the growth gauge sits at or above the ceiling in both the fast and
-    slow windows" — a leak pages through the exact machinery an SLO
-    burn does (dwell, flap damping, flight-recorder bundle and all).
-    """
-    return AlertRule(
-        name="heap-growth-page",
-        objective=heap_growth_objective(ceiling_bytes_per_s),
-        severity=SEVERITY_PAGE,
-        fast_window_s=fast_window_s,
-        slow_window_s=slow_window_s,
-        burn_threshold=1.0,
-        for_s=for_s,
-        resolve_after_s=resolve_after_s,
-        description="sustained heap growth above the leak ceiling",
-    )
 
 
 class ProfileRecorder:
@@ -621,19 +567,17 @@ class ProfileRecorder:
         heap: HeapProfiler | None = None,
         recorder: Any | None = None,
         profile_dir: str = "incidents",
-        max_profiles: int = 4,
     ) -> None:
         self.sampler = sampler
         self.heap = heap
         self.recorder = recorder
         self.profile_dir = profile_dir
-        self.max_profiles = max_profiles
         self.profiles: list[str] = []
 
     def emit(self, event: Any) -> None:
         if event.state != STATE_FIRING or event.severity != SEVERITY_PAGE:
             return
-        if len(self.profiles) >= self.max_profiles:
+        if len(self.profiles) >= MAX_PROFILES:
             return
         bundles = getattr(self.recorder, "bundles", None)
         if bundles:
@@ -801,10 +745,8 @@ def run_profile_workload(
         pipeline = train_bench_pipeline(seed=seed)
     registry = get_registry()
     tracer = _trace.get_tracer()
-    previous_rate = tracer.sample_rate
-    previous_retention = tracer.retention
     registry.reset()
-    tracer.configure(sample_rate=1.0, seed=seed, retention=None)
+    previous = tracer.configure(sample_rate=1.0, seed=seed, retention=None)
     tracer.clear()
 
     heap_profiler = HeapProfiler(registry=registry) if heap else None
@@ -831,8 +773,7 @@ def run_profile_workload(
             heap_profiler.stop()
         else:
             heap_report = None
-        tracer.configure(sample_rate=previous_rate,
-                         retention=previous_retention)
+        tracer.configure(**previous)
     stats = sampler.stats()
     return {
         "workload": {
@@ -900,8 +841,7 @@ def measure_profile_overhead(
         pipeline = train_bench_pipeline(seed=seed)
     registry = get_registry()
     tracer = _trace.get_tracer()
-    previous_rate = tracer.sample_rate
-    previous_retention = tracer.retention
+    previous = tracer.configure(sample_rate=1.0, seed=seed, retention=None)
     last_stats: dict[str, Any] = {}
 
     accounted = {"sampling_s": 0.0, "attached_s": 0.0, "samples": 0}
@@ -911,7 +851,6 @@ def measure_profile_overhead(
         for _ in range(inner):
             registry.reset()
             tracer.clear()
-            tracer.configure(sample_rate=1.0, seed=seed, retention=None)
             sampler = None
             if arm == "profiled":
                 sampler = StackSampler(registry=registry).start()
@@ -948,8 +887,7 @@ def measure_profile_overhead(
                 best[arm] = min(best[arm], wall)
             ratios.append(walls["profiled"] / walls["default"])
     finally:
-        tracer.configure(sample_rate=previous_rate,
-                         retention=previous_retention)
+        tracer.configure(**previous)
         tracer.clear()
         registry.reset()
     attached_s = accounted["attached_s"]

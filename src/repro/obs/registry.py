@@ -118,15 +118,6 @@ class HistogramState:
                 good += n
         return good
 
-    def fraction_below(self, threshold: float) -> float:
-        """Fraction of samples ``<= threshold`` (see :meth:`count_below`).
-
-        Returns 1.0 when empty: no samples means no violations.
-        """
-        if self.count <= 0:
-            return 1.0
-        return min(1.0, self.count_below(threshold) / self.count)
-
     def quantile(self, q: float) -> float:
         """Approximate ``q``-quantile (``q`` in [0, 1]) of the samples."""
         if not 0.0 <= q <= 1.0:

@@ -9,23 +9,19 @@ pass/fail verdicts with budget math, mirroring how latency-bound serving
 benchmarks (MLPerf server scenarios, Clipper's SLO-driven adaptation)
 report compliance instead of bare averages.
 
-Three objective kinds cover the stack:
+Two objective kinds cover the stack:
 
 - ``latency`` — at least ``target`` of samples in histogram ``metric``
   must fall at or under ``threshold`` seconds (uses
   :meth:`~repro.obs.registry.HistogramState.count_below`);
 - ``ratio`` — the ratio of counter ``metric`` over counter
-  ``denominator`` must stay at or under ``threshold``;
-- ``gauge`` — the gauge ``metric`` must stay at or under ``threshold``
-  (a ceiling; e.g. the heap profiler's growth-rate gauge, so a memory
-  leak pages through the same burn-rate machinery as an SLO burn).
+  ``denominator`` must stay at or under ``threshold``.
 
-All express an **error budget**: the tolerated bad fraction
-(``1 - target`` for latency, ``threshold`` for ratios, the ceiling
-itself for gauges).  ``burn_rate`` is the observed bad fraction divided
-by that budget — 1.0 means the window exactly spent its budget (for a
-gauge: the value sits exactly at the ceiling), above 1.0 means the
-objective is being violated.
+Both express an **error budget**: the tolerated bad fraction
+(``1 - target`` for latency, ``threshold`` for ratios).  ``burn_rate``
+is the observed bad fraction divided by that budget — 1.0 means the
+window exactly spent its budget, above 1.0 means the objective is being
+violated.
 
 One function computes every verdict, over the samples between two
 snapshots of the registry: a :class:`SnapshotHistory` supplies trailing
@@ -42,8 +38,7 @@ from repro.obs.registry import MetricsRegistry
 
 #: One capture of the series behind some objectives: ``(count, good)``
 #: sample counts under ``(histogram, threshold)`` for each latency
-#: objective, counter values under their names, and gauge readings
-#: under ``("gauge", name)`` (a gauge may share a name with a counter).
+#: objective, and counter values under their names.
 Snapshot = dict[object, object]
 
 
@@ -56,15 +51,11 @@ class SLObjective:
     name:
         Short identifier (``serve-p95-latency``).
     kind:
-        ``"latency"``, ``"ratio"``, or ``"gauge"`` (see module
-        docstring).
+        ``"latency"`` or ``"ratio"`` (see module docstring).
     metric:
-        Histogram name (latency), numerator counter name (ratio), or
-        gauge name (gauge).
+        Histogram name (latency) or numerator counter name (ratio).
     threshold:
-        Latency bound in seconds, the ratio ceiling, or the gauge
-        ceiling (must be positive for gauges — burn is measured
-        relative to it).
+        Latency bound in seconds, or the ratio ceiling.
     target:
         Required good fraction for latency objectives (e.g. ``0.95``);
         unused for ratios (their budget *is* the threshold).
@@ -83,16 +74,13 @@ class SLObjective:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("latency", "ratio", "gauge"):
+        if self.kind not in ("latency", "ratio"):
             raise ValueError(f"unknown SLO kind: {self.kind!r}")
         if self.kind == "ratio" and self.denominator is None:
             raise ValueError("ratio objectives need a denominator counter")
         if self.kind == "latency" and not 0.0 < self.target <= 1.0:
             raise ValueError("target must be in (0, 1]")
-        if self.kind == "gauge":
-            if self.threshold <= 0:
-                raise ValueError("gauge objectives need a positive ceiling")
-        elif self.threshold < 0:
+        if self.threshold < 0:
             raise ValueError("threshold must be non-negative")
 
 
@@ -100,8 +88,7 @@ class SLObjective:
 class SLOVerdict:
     """The outcome of evaluating one objective.
 
-    ``value`` is the observed statistic: the bad fraction (latency and
-    ratio) or the reading (gauge).
+    ``value`` is the observed statistic, the bad fraction.
     ``bad_fraction`` is the observed violation rate, ``error_budget``
     the tolerated one, ``burn_rate`` their ratio (``0.0`` when the
     budget itself is zero and nothing was bad), and ``budget_remaining``
@@ -175,8 +162,6 @@ def _series(
     for objective in objectives:
         if objective.kind == "latency":
             series.add(("latency", objective.metric, objective.threshold))
-        elif objective.kind == "gauge":
-            series.add(("gauge", objective.metric, None))
         else:
             series.add(("counter", objective.metric, None))
             series.add(("counter", objective.denominator or "", None))
@@ -197,8 +182,6 @@ def _capture(registry: MetricsRegistry,
                 # count by bucket midpoints alone.
                 state.min = state.max = None
             values[(name, threshold)] = (state.count, state.count_below(threshold))
-        elif kind == "gauge":
-            values[("gauge", name)] = registry.gauge(name).value
         else:
             values[name] = registry.counter(name).value
     return values
@@ -213,7 +196,7 @@ def _verdict(objective: SLObjective, earlier: Snapshot,
     the no-evidence verdict: zero samples, zero burn, ``ok=True``.
     Controllers and alerting must not act on silence.
     """
-    bad = value = samples = 0.0
+    bad = samples = 0.0
     ok = True
     if objective.kind == "latency":
         budget = 1.0 - objective.target
@@ -224,19 +207,6 @@ def _verdict(objective: SLObjective, earlier: Snapshot,
             good = min(1.0, (end[1] - start[1]) / samples)  # type: ignore[index]
             bad = 1.0 - good
             ok = good >= objective.target
-        value = bad
-    elif objective.kind == "gauge":
-        # A gauge is already a point-in-time value: the verdict reads
-        # the later snapshot (the freshest evidence the window holds).
-        budget = 1.0
-        reading = later.get(("gauge", objective.metric))
-        if reading is not None:
-            value = float(reading)  # type: ignore[arg-type]
-            # The ceiling is the budget: burn 1.0 means the gauge sits
-            # exactly at it.  Negative values (a shrinking heap) burn 0.
-            bad = max(0.0, value) / objective.threshold
-            ok = value <= objective.threshold
-            samples = 1.0
     else:
         budget = objective.threshold
         counts = (earlier.get(objective.metric), later.get(objective.metric),
@@ -250,7 +220,6 @@ def _verdict(objective: SLObjective, earlier: Snapshot,
                 bad = max(0.0, num) / den
                 samples = den
         ok = bad <= objective.threshold
-        value = bad
     if budget > 0:
         burn = bad / budget
     else:
@@ -258,7 +227,7 @@ def _verdict(objective: SLObjective, earlier: Snapshot,
     return SLOVerdict(
         objective=objective,
         ok=ok,
-        value=value,
+        value=bad,
         bad_fraction=bad,
         error_budget=budget,
         burn_rate=burn,

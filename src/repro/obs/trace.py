@@ -480,42 +480,27 @@ class RetentionPolicy:
     - ``"degraded"`` — the ladder answered degraded (breaker open,
       terminal-tier absorption, DSP failure);
     - ``"slo-latency"`` — workload-time latency exceeded
-      ``slow_latency_s`` (default 0.5 s, the serve p95 SLO threshold);
-    - ``"slow"`` — wall-clock span duration exceeded ``slow_span_s``
-      (off by default; workloads run compressed time).
+      ``slow_latency_s`` (default 0.5 s, the serve p95 SLO threshold).
     """
 
-    __slots__ = ("slow_latency_s", "slow_span_s", "keep_errors",
-                 "keep_degraded")
+    __slots__ = ("slow_latency_s",)
 
-    def __init__(
-        self,
-        slow_latency_s: float | None = 0.5,
-        slow_span_s: float | None = None,
-        keep_errors: bool = True,
-        keep_degraded: bool = True,
-    ) -> None:
+    def __init__(self, slow_latency_s: float = 0.5) -> None:
         self.slow_latency_s = slow_latency_s
-        self.slow_span_s = slow_span_s
-        self.keep_errors = keep_errors
-        self.keep_degraded = keep_degraded
 
     def reason(self, root: Span) -> str | None:
-        if self.keep_errors and root.status == "error":
+        if root.status == "error":
             return "error"
         attrs = root._attrs
         if attrs:
-            if self.keep_degraded and attrs.get("shed"):
+            if attrs.get("shed"):
                 return "shed"
-            if self.keep_degraded and attrs.get("degraded"):
+            if attrs.get("degraded"):
                 return "degraded"
-            if self.slow_latency_s is not None:
-                latency = attrs.get("latency_s")
-                if (isinstance(latency, (int, float))
-                        and latency > self.slow_latency_s):
-                    return "slo-latency"
-        if self.slow_span_s is not None and root.duration_s > self.slow_span_s:
-            return "slow"
+            latency = attrs.get("latency_s")
+            if (isinstance(latency, (int, float))
+                    and latency > self.slow_latency_s):
+                return "slo-latency"
         return None
 
 
@@ -602,25 +587,33 @@ class Tracer:
 
     def configure(self, sample_rate: float | None = None,
                   seed: int | None = None,
-                  retention: RetentionPolicy | None | object = _UNSET) -> None:
+                  retention: RetentionPolicy | None | object = _UNSET,
+                  ) -> dict[str, Any]:
         """Re-tune sampling/ID generation/retention (e.g. per run).
 
         ``retention`` accepts a :class:`RetentionPolicy` to enable tail
         retention or ``None`` to disable it; omit the argument to leave
-        the current policy untouched.
+        the current policy untouched.  Returns the previous values of
+        the settings it changed, so ``tracer.configure(**previous)``
+        restores them.
         """
+        previous: dict[str, Any] = {}
         if sample_rate is not None:
             if not 0.0 <= sample_rate <= 1.0:
                 raise ValueError("sample_rate must be in [0, 1]")
+            previous["sample_rate"] = self.sample_rate
             self.sample_rate = sample_rate
             self._sample_cutoff = sample_rate * 4294967296.0
         if seed is not None:
+            previous["seed"] = self.seed
             self.seed = seed
             self._span_prefix = format(seed & 0xFFFFFF, "06x")
             self._trace_prefix = format(seed & 0xFFFFFFFF, "08x")
             self._seed_bits = (seed & 0xFFFFFFFF) << 32
         if retention is not _UNSET:
+            previous["retention"] = self.retention
             self.retention = retention  # type: ignore[assignment]
+        return previous
 
     def clear(self) -> None:
         """Drop all finished/retained spans and restart the ID counter."""

@@ -281,7 +281,7 @@ def surge_plan_fixtures(
     surge_scale: float = 8.0,
     plan: str = "surge",
 ) -> dict[str, object]:
-    """Everything one surge chaos plan needs: pipeline, ladder, pool, events.
+    """Everything one surge chaos plan needs: pipeline, pool, events.
 
     Shared between :func:`run_surge_workload` (the A/B chaos run) and
     ``repro monitor`` (the alerting/flight-recorder run), so both
@@ -294,23 +294,16 @@ def surge_plan_fixtures(
         raise ValueError(f"unknown surge plan {plan!r}")
     # Serve imports stay lazy: resilience is a dependency of the serve
     # package, so importing it back at module level would be a cycle.
-    from repro.serve.adaptive import ladder_from_pipeline
-    from repro.serve.adaptive_bench import (
-        POOL_SIZE,
-        make_surge_events,
-        make_truth_pool,
-    )
-    from repro.serve.bench import train_bench_pipeline
+    from repro.serve.adaptive_bench import POOL_SIZE, make_surge_events
+    from repro.serve.bench import make_pool, train_bench_pipeline
 
     pipeline = train_bench_pipeline(seed=seed)
-    ladder = ladder_from_pipeline(pipeline)
     clf = pipeline.classifier
     assert clf is not None
-    pool, truths = make_truth_pool(clf.label_names, POOL_SIZE, seed)
+    pool, truths = make_pool(clf.label_names, POOL_SIZE, seed)
     events = make_surge_events(sessions, seconds, seed, POOL_SIZE, surge_scale)
     return {
         "pipeline": pipeline,
-        "ladder": ladder,
         "pool": pool,
         "truths": truths,
         "events": events,
@@ -342,12 +335,12 @@ def run_surge_workload(
     (:func:`~repro.serve.adaptive.ladder_from_pipeline`); the full
     two-architecture ladder lives in ``repro adaptive-bench``.
     """
-    from repro.serve.adaptive import AdaptiveController
+    from repro.serve.adaptive import AdaptiveController, ladder_from_pipeline
     from repro.serve.adaptive_bench import bench_adaptive_config, run_surge_arm
 
     fixtures = surge_plan_fixtures(seed, sessions, seconds, surge_scale, plan)
     pipeline = fixtures["pipeline"]
-    ladder = fixtures["ladder"]
+    ladder = ladder_from_pipeline(pipeline)
     pool = fixtures["pool"]
     truths = fixtures["truths"]
     events = fixtures["events"]

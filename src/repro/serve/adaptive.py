@@ -51,6 +51,35 @@ from repro.serve.sessions import Session
 _TIER_DEMOTIONS = labeled("serve.tier_changes", direction="demote")
 _TIER_PROMOTIONS = labeled("serve.tier_changes", direction="promote")
 
+# Hysteresis constants and signal thresholds.  The demote/promote pairs
+# are deliberately asymmetric (demote fires earlier than promote
+# re-arms) so the controller has a dead band to rest in; DESIGN.md §10.2
+# tabulates the reasoning per constant.
+
+#: Queue fill fraction at which sessions start stepping down.
+DEMOTE_QUEUE_FRAC = 0.5
+#: Queue fill fraction at which new submits jump straight to the
+#: terminal rung — the queue is about to overflow and one-rung steps
+#: would shed windows before reaching it.
+EMERGENCY_QUEUE_FRAC = 0.85
+#: Queue fill fraction below which the queue counts as calm.
+PROMOTE_QUEUE_FRAC = 0.2
+#: Trailing-window SLO burn at/above which sessions step down.
+DEMOTE_BURN = 1.0
+#: Burn at/below which the SLOs count as calm.
+PROMOTE_BURN = 0.5
+#: Minimum dwell between consecutive demotions of one session.
+DEMOTE_DWELL_S = 0.25
+#: Burn window geometry: the history's horizon and sample interval
+#: (see :class:`~repro.obs.slo.SnapshotHistory`).
+BURN_HORIZON_S = 4.0
+BURN_SAMPLE_INTERVAL_S = 0.5
+#: ``(battery fraction, minimum tier index)`` ceilings, evaluated
+#: top-down: below 25% charge at least tier 1, below 10% at least tier
+#: 2, below 3% only the terminal rung.  Indices past the end of a
+#: shorter ladder clamp to its terminal rung.
+BATTERY_FLOORS: tuple[tuple[float, int], ...] = ((0.25, 1), (0.10, 2), (0.03, 3))
+
 
 @dataclass(frozen=True)
 class TierSpec:
@@ -118,40 +147,10 @@ class TierLadder:
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Hysteresis constants and signal thresholds for the controller.
+    """The controller settings its callers tune (thresholds are constants)."""
 
-    The demote/promote pairs are deliberately asymmetric (demote fires
-    earlier than promote re-arms) so the controller has a dead band to
-    rest in; DESIGN.md §10 tabulates the reasoning per constant.
-    """
-
-    #: Queue fill fraction at which sessions start stepping down.
-    demote_queue_frac: float = 0.5
-    #: Queue fill fraction at which new submits jump straight to the
-    #: terminal rung — the queue is about to overflow and one-rung steps
-    #: would shed windows before reaching it.
-    emergency_queue_frac: float = 0.85
-    #: Queue fill fraction below which the queue counts as calm.
-    promote_queue_frac: float = 0.2
-    #: Trailing-window SLO burn at/above which sessions step down.
-    demote_burn: float = 1.0
-    #: Burn at/below which the SLOs count as calm.
-    promote_burn: float = 0.5
-    #: Minimum dwell between consecutive demotions of one session.
-    demote_dwell_s: float = 0.25
     #: Calm time (uninterrupted) required before each promotion step.
     promote_dwell_s: float = 3.0
-    #: Burn window geometry: the history's horizon and sample interval
-    #: (see :class:`~repro.obs.slo.SnapshotHistory`).
-    burn_horizon_s: float = 4.0
-    burn_sample_interval_s: float = 0.5
-    #: ``(battery fraction, minimum tier index)`` ceilings, evaluated
-    #: top-down: below 25% charge at least tier 1, below 10% at least
-    #: tier 2, below 3% only the terminal rung.  Indices past the end of
-    #: a shorter ladder clamp to its terminal rung.
-    battery_floors: tuple[tuple[float, int], ...] = (
-        (0.25, 1), (0.10, 2), (0.03, 3),
-    )
     #: Battery capacity per session in energy units; ``None`` disables
     #: the battery simulation entirely.
     battery_capacity: float | None = None
@@ -159,14 +158,8 @@ class AdaptiveConfig:
     initial_battery_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.demote_queue_frac <= self.emergency_queue_frac:
-            raise ValueError("need 0 < demote_queue_frac <= emergency_queue_frac")
-        if self.promote_queue_frac >= self.demote_queue_frac:
-            raise ValueError("promote_queue_frac must sit below demote_queue_frac")
-        if self.promote_burn >= self.demote_burn:
-            raise ValueError("promote_burn must sit below demote_burn")
-        if self.demote_dwell_s < 0 or self.promote_dwell_s <= 0:
-            raise ValueError("dwells must be non-negative (promote positive)")
+        if self.promote_dwell_s <= 0:
+            raise ValueError("promote_dwell_s must be positive")
         if self.battery_capacity is not None and self.battery_capacity <= 0:
             raise ValueError("battery_capacity must be positive")
         if not 0.0 < self.initial_battery_fraction <= 1.0:
@@ -201,8 +194,8 @@ class AdaptiveController:
         self.objectives = tuple(objectives)
         self.history = SnapshotHistory(
             self.objectives,
-            max_horizon_s=self.config.burn_horizon_s,
-            min_interval_s=self.config.burn_sample_interval_s,
+            max_horizon_s=BURN_HORIZON_S,
+            min_interval_s=BURN_SAMPLE_INTERVAL_S,
         )
         #: Highest trailing burn over the objectives; it only changes
         #: when the history keeps a sample.
@@ -226,7 +219,7 @@ class AdaptiveController:
         if battery is None:
             return 0
         floor = 0
-        for fraction, min_index in self.config.battery_floors:
+        for fraction, min_index in BATTERY_FLOORS:
             if battery.fraction < fraction:
                 floor = max(floor, min(min_index, self.ladder.terminal_index))
         return floor
@@ -273,10 +266,8 @@ class AdaptiveController:
             )
         queue_frac = queue_depth / max_queue if max_queue > 0 else 0.0
         burn = self.burn
-        stressed = (queue_frac >= config.demote_queue_frac
-                    or burn >= config.demote_burn)
-        calm = (queue_frac <= config.promote_queue_frac
-                and burn <= config.promote_burn)
+        stressed = queue_frac >= DEMOTE_QUEUE_FRAC or burn >= DEMOTE_BURN
+        calm = queue_frac <= PROMOTE_QUEUE_FRAC and burn <= PROMOTE_BURN
         index = session.tier_index
         terminal = self.ladder.terminal_index
         # The battery ceiling bounds the walk on both sides: promotions
@@ -286,12 +277,12 @@ class AdaptiveController:
         floor = self._battery_floor(session)
         if stressed:
             session.calm_since = None
-            if queue_frac >= config.emergency_queue_frac and index < terminal:
+            if queue_frac >= EMERGENCY_QUEUE_FRAC and index < terminal:
                 self._change(session, terminal, now, "emergency-queue")
             elif (index < terminal
-                    and now - session.tier_changed_at >= config.demote_dwell_s):
+                    and now - session.tier_changed_at >= DEMOTE_DWELL_S):
                 self._change(session, index + 1, now,
-                             "burn" if burn >= config.demote_burn else "queue")
+                             "burn" if burn >= DEMOTE_BURN else "queue")
         elif calm and index > floor:
             if session.calm_since is None:
                 session.calm_since = now

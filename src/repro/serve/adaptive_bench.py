@@ -35,7 +35,7 @@ from repro.serve.adaptive import (
     TierLadder,
     build_default_ladder,
 )
-from repro.serve.bench import _quantiles
+from repro.serve.bench import _quantiles, make_pool
 from repro.serve.runtime import AffectServer, ServeConfig
 
 #: Distinct utterances in the surge pool — deliberately larger than the
@@ -58,28 +58,7 @@ POLL_PERIOD_S = 0.125
 BATTERY_CAPACITY = 15.0
 
 #: The p95 objective the adaptive arm must hold during the surge.
-_LATENCY_SLO = next(o for o in DEFAULT_SLOS if o.name == "serve-p95-latency")
-
-
-def make_truth_pool(
-    label_names: tuple[str, ...], pool_size: int, seed: int,
-) -> tuple[list[np.ndarray], list[str]]:
-    """``pool_size`` synthetic utterances plus their ground-truth labels.
-
-    Window ``i`` is synthesized *from* label ``label_names[i % n]``, so
-    the pool carries its own truth — what lets the bench score every
-    served answer, including fallbacks.
-    """
-    from repro.datasets.speech import synthesize_utterance
-
-    truths = [label_names[i % len(label_names)] for i in range(pool_size)]
-    pool = [
-        synthesize_utterance(
-            truths[i], actor=i % 4, sentence=i % 3, take=i, seed=seed,
-        )
-        for i in range(pool_size)
-    ]
-    return pool, truths
+LATENCY_SLO = next(o for o in DEFAULT_SLOS if o.name == "serve-p95-latency")
 
 
 def make_surge_events(
@@ -278,7 +257,7 @@ def run_adaptive_bench(
         pipeline, ladder = build_default_ladder(seed=seed)
     clf = pipeline.classifier
     assert clf is not None
-    pool, truths = make_truth_pool(clf.label_names, POOL_SIZE, seed)
+    pool, truths = make_pool(clf.label_names, POOL_SIZE, seed)
     quality = tier_quality(ladder, pipeline, pool, truths)
 
     def arm(scale: float, battery: float | None) -> dict[str, object]:
@@ -301,8 +280,8 @@ def run_adaptive_bench(
         "adaptive_shed_frac": adaptive["shed_frac"],
         "adaptive_shed_ok": adaptive["shed_frac"] < 0.02,
         "adaptive_p95_s": p95,
-        "latency_slo_s": _LATENCY_SLO.threshold,
-        "adaptive_p95_ok": p95 <= _LATENCY_SLO.threshold,
+        "latency_slo_s": LATENCY_SLO.threshold,
+        "adaptive_p95_ok": p95 <= LATENCY_SLO.threshold,
         "neutral_accuracy": neutral_accuracy,
         "adaptive_accuracy": adaptive["accuracy"],
         "adaptive_accuracy_ok": adaptive["accuracy"] >= neutral_accuracy,

@@ -44,18 +44,23 @@ def train_bench_pipeline(seed: int = 0,
     return pipeline
 
 
-def _make_pool(label_names: tuple[str, ...], pool_size: int,
-               seed: int) -> list[np.ndarray]:
-    """``pool_size`` distinct utterances cycling over the label set."""
+def make_pool(label_names: tuple[str, ...], pool_size: int,
+              seed: int) -> tuple[list[np.ndarray], list[str]]:
+    """``pool_size`` distinct utterances cycling over the label set.
+
+    Window ``i`` is synthesized *from* label ``label_names[i % n]``, so
+    the second list, each window's label, is its ground truth.
+    """
     from repro.datasets.speech import synthesize_utterance
 
-    return [
+    truths = [label_names[i % len(label_names)] for i in range(pool_size)]
+    pool = [
         synthesize_utterance(
-            label_names[i % len(label_names)],
-            actor=i % 4, sentence=i % 3, take=i, seed=seed,
+            truths[i], actor=i % 4, sentence=i % 3, take=i, seed=seed,
         )
         for i in range(pool_size)
     ]
+    return pool, truths
 
 
 def _make_schedule(
@@ -200,7 +205,7 @@ def run_serve_bench(
         pipeline = train_bench_pipeline(seed=seed)
     clf = pipeline.classifier
     assert clf is not None
-    pool = _make_pool(clf.label_names, pool_size, seed)
+    pool, _ = make_pool(clf.label_names, pool_size, seed)
     schedule = _make_schedule(sessions, seconds, seed, pool_size)
     parity_report = check_parity(pipeline, pool) if parity else None
 
@@ -291,8 +296,7 @@ def run_trace_workload(
     JSONL exporters and the ``repro trace`` tree view.
     """
     tracer = get_tracer()
-    previous_rate = tracer.sample_rate
-    tracer.configure(sample_rate=sample_rate, seed=seed)
+    previous = tracer.configure(sample_rate=sample_rate, seed=seed)
     tracer.clear()
     try:
         report = run_serve_bench(
@@ -302,7 +306,7 @@ def run_trace_workload(
         )
         return report, tracer.spans
     finally:
-        tracer.configure(sample_rate=previous_rate)
+        tracer.configure(**previous)
 
 
 def serve_chain_coverage(spans: list[Span]) -> dict[str, object]:
@@ -375,7 +379,7 @@ def measure_trace_overhead(
     config is ``overhead_frac < 0.02``.
     """
     tracer = get_tracer()
-    previous_rate = tracer.sample_rate
+    previous = tracer.configure(sample_rate=0.0)
 
     def one_run(rate: float) -> float:
         tracer.configure(sample_rate=rate)
@@ -396,7 +400,7 @@ def measure_trace_overhead(
             off_wall_s = min(off_wall_s, one_run(0.0))
             on_wall_s = min(on_wall_s, one_run(1.0))
     finally:
-        tracer.configure(sample_rate=previous_rate)
+        tracer.configure(**previous)
         tracer.clear()
     overhead = on_wall_s / off_wall_s - 1.0 if off_wall_s > 0 else 0.0
     return {
@@ -423,13 +427,12 @@ def run_serve_grid(
     pipeline = train_bench_pipeline(seed=seed)
     clf = pipeline.classifier
     assert clf is not None
+    pool, _ = make_pool(clf.label_names, POOL_SIZE, seed)
     # Parity is a property of the pipeline + pool, not of any one cell,
     # so the gates run once for the whole grid.
-    parity = check_parity(pipeline, _make_pool(clf.label_names,
-                                               POOL_SIZE, seed))
+    parity = check_parity(pipeline, pool)
     grid: dict[str, object] = {}
     for sessions in session_counts:
-        pool = _make_pool(clf.label_names, POOL_SIZE, seed)
         schedule = _make_schedule(sessions, seconds, seed, POOL_SIZE)
         sequential = run_sequential_baseline(pipeline, pool, schedule)
         row: dict[str, object] = {"sequential": sequential, "batched": {}}

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.affect.pipeline import AffectClassifierPipeline
-from repro.errors import OverloadShedError
 from repro.obs import get_registry, labeled
 from repro.obs.trace import NOOP_SPAN, get_tracer
 from repro.resilience import CLOSED, CircuitBreaker
@@ -59,12 +58,7 @@ class ServeConfig:
     max_queue: int = 1024
     cache_capacity: int = 2048
     idle_ttl_s: float = 30.0
-    max_sessions: int = 4096
     stale_ttl_s: float | None = 5.0
-    neutral_label: str = "neutral"
-    #: ``False`` sheds to a degraded result under overload (default);
-    #: ``True`` raises :class:`~repro.errors.OverloadShedError` instead.
-    strict_admission: bool = False
     #: Serve flushes through the int8-quantized model (default — the
     #: paper's deployed configuration); ``False`` uses float weights.
     quantized: bool = True
@@ -124,10 +118,9 @@ class AffectServer:
         self.pipeline = pipeline
         self.config = config or ServeConfig()
         self.label_names = clf.label_names
-        neutral = self.config.neutral_label
-        if neutral not in self.label_names:
-            neutral = self.label_names[0]
-        self.neutral_label = neutral
+        #: A session's label before it has a live one.
+        self.neutral_label = ("neutral" if "neutral" in self.label_names
+                              else self.label_names[0])
         self.breaker = breaker or CircuitBreaker()
         self.adaptive = adaptive
         if adaptive is not None:
@@ -159,9 +152,8 @@ class AffectServer:
         )
         self.sessions = SessionManager(
             idle_ttl_s=self.config.idle_ttl_s,
-            max_sessions=self.config.max_sessions,
             stale_ttl_s=self.config.stale_ttl_s,
-            neutral_label=neutral,
+            neutral_label=self.neutral_label,
         )
         self.cache = LRUCache(capacity=self.config.cache_capacity)
         self.submitted = 0
@@ -235,16 +227,6 @@ class AffectServer:
                     )]
 
             if self.batcher.depth >= self.config.max_queue:
-                if self.config.strict_admission:
-                    self.submitted -= 1
-                    obs.inc("serve.rejected")
-                    error = OverloadShedError(
-                        f"queue full ({self.config.max_queue} pending)"
-                    )
-                    root.add_event("admission.rejected",
-                                   {"queue_depth": self.batcher.depth})
-                    root.end(error=error)
-                    raise error
                 self.shed += 1
                 session.shed_windows += 1
                 obs.inc("serve.shed")

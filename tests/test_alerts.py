@@ -13,7 +13,6 @@ from repro.obs.alerts import (
     AlertManager,
     AlertRule,
     JsonlSink,
-    StderrSink,
     alert_rules,
     render_alert_timeline,
 )
@@ -295,17 +294,6 @@ class TestSinksAndExport:
         lines = path.read_text().strip().split("\n")
         assert [json.loads(line)["state"] for line in lines] == [
             "pending", "firing"]
-
-    def test_stderr_sink_renders_one_line(self, capsys):
-        import sys
-
-        manager = AlertManager((shed_rule(),),
-                               sinks=(StderrSink(sys.stderr),))
-        drv = _Driver(manager)
-        drv.tick(0.0, total=100)
-        drv.tick(1.0, total=100, bad=60)
-        err = capsys.readouterr().err
-        assert "ALERT" in err and "shed-page" in err and "FIRING" in err
 
     def test_fired_and_resolved_counters(self):
         manager = AlertManager((shed_rule(),))

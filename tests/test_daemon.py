@@ -111,7 +111,7 @@ class Client:
 class TestIngest:
     def test_window_round_trip(self, pipeline, wave, tmp_path):
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False)
+            daemon = make_daemon(pipeline, tmp_path)
             await daemon.start()
             try:
                 client = Client()
@@ -139,7 +139,7 @@ class TestIngest:
         # Client-chosen seqs (not 0..n) must come back on the replies
         # even when windows pend across deadline flushes.
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False,
+            daemon = make_daemon(pipeline, tmp_path,
                                  serve={"max_batch": 64, "max_wait_s": 0.05})
             await daemon.start()
             try:
@@ -163,7 +163,7 @@ class TestIngest:
             # A huge deadline keeps the first window pending, so the
             # second trips the in-flight gate and must be answered NOW.
             daemon = make_daemon(
-                pipeline, tmp_path, monitor=False, max_inflight=1,
+                pipeline, tmp_path, max_inflight=1,
                 serve={"max_batch": 64, "max_wait_s": 60.0},
             )
             await daemon.start()
@@ -185,7 +185,7 @@ class TestIngest:
 
     def test_malformed_frame_gets_error_and_close(self, pipeline, tmp_path):
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False)
+            daemon = make_daemon(pipeline, tmp_path)
             await daemon.start()
             try:
                 client = Client()
@@ -205,7 +205,7 @@ class TestAdmissionAndReaping:
     def test_capacity_preemption_is_explicit_lru(self, pipeline, wave,
                                                  tmp_path):
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False,
+            daemon = make_daemon(pipeline, tmp_path,
                                  max_connections=1)
             await daemon.start()
             try:
@@ -235,7 +235,7 @@ class TestAdmissionAndReaping:
 
     def test_same_session_takeover(self, pipeline, tmp_path):
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False)
+            daemon = make_daemon(pipeline, tmp_path)
             await daemon.start()
             try:
                 first = Client()
@@ -252,32 +252,9 @@ class TestAdmissionAndReaping:
 
         asyncio.run(run())
 
-    def test_refusal_when_preemption_disabled(self, pipeline, tmp_path):
-        async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False,
-                                 max_connections=1, preempt=False)
-            await daemon.start()
-            try:
-                first = Client()
-                await first.connect(daemon, "u-a")
-                second = Client()
-                second.reader, second.writer = await asyncio.open_connection(
-                    daemon.config.host, daemon.port
-                )
-                second.send(protocol.hello_frame("u-b"))
-                error = await second.expect("error")
-                assert "capacity" in error["error"]
-                assert daemon.route_ids() == ["u-a"]
-                first.close()
-                second.close()
-            finally:
-                await daemon.stop()
-
-        asyncio.run(run())
-
     def test_abrupt_disconnect_reaps_session(self, pipeline, wave, tmp_path):
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False)
+            daemon = make_daemon(pipeline, tmp_path)
             await daemon.start()
             try:
                 client = Client()
@@ -304,7 +281,7 @@ class TestAdmissionAndReaping:
         # reply unroutable instead of resurrecting the session.
         async def run():
             daemon = make_daemon(
-                pipeline, tmp_path, monitor=False, max_connections=1,
+                pipeline, tmp_path, max_connections=1,
                 serve={"max_batch": 64, "max_wait_s": 60.0},
             )
             await daemon.start()
@@ -345,7 +322,7 @@ class TestIngestQueue:
         # may be submitted: that would re-create the evicted session.
         async def run():
             daemon = make_daemon(
-                pipeline, tmp_path, monitor=False, max_connections=1,
+                pipeline, tmp_path, max_connections=1,
                 serve={"max_batch": 64, "max_wait_s": 60.0},
             )
             await daemon.start()
@@ -398,7 +375,7 @@ class TestIngestQueue:
                                               tmp_path):
         async def run():
             daemon = make_daemon(
-                pipeline, tmp_path, monitor=False,
+                pipeline, tmp_path,
                 serve={"max_batch": 64, "max_wait_s": 60.0},
             )
             await daemon.start()
@@ -434,7 +411,7 @@ class TestIngestQueue:
         # flush's replies go out while the worker is still in the hop.
         async def run():
             daemon = make_daemon(
-                pipeline, tmp_path, monitor=False,
+                pipeline, tmp_path,
                 serve={"max_batch": 2, "max_wait_s": 60.0},
             )
             await daemon.start()
@@ -489,7 +466,7 @@ class TestIngestQueue:
     def test_failed_submit_is_shed_and_pump_keeps_serving(
             self, pipeline, wave, tmp_path):
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False,
+            daemon = make_daemon(pipeline, tmp_path,
                                  serve={"max_batch": 1})
             await daemon.start()
             try:
@@ -530,7 +507,7 @@ class TestIngestQueue:
         # connection, nothing may be dropped, no seq answered twice.
         async def run():
             daemon = make_daemon(
-                pipeline, tmp_path, monitor=False, max_inflight=64,
+                pipeline, tmp_path, max_inflight=64,
                 serve={"max_batch": 4, "max_wait_s": 0.02},
             )
             await daemon.start()
@@ -602,7 +579,7 @@ class TestBlasPin:
         original = set_blas_threads(3)
 
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False)
+            daemon = make_daemon(pipeline, tmp_path)
             await daemon.start()
             try:
                 assert blas_threads() == serving
@@ -705,7 +682,7 @@ class TestAdminPlane:
 
     def test_post_is_rejected(self, pipeline, tmp_path):
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False)
+            daemon = make_daemon(pipeline, tmp_path)
             await daemon.start()
             try:
                 reader, writer = await asyncio.open_connection(
@@ -743,7 +720,7 @@ class TestProfPlane:
         from repro.obs.prof import parse_collapsed
 
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False)
+            daemon = make_daemon(pipeline, tmp_path)
             await daemon.start()
             try:
                 assert daemon.profiler is not None
@@ -772,7 +749,7 @@ class TestProfPlane:
         from repro.obs.prof import parse_collapsed
 
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False)
+            daemon = make_daemon(pipeline, tmp_path)
             await daemon.start()
             try:
                 window = asyncio.create_task(_http_get(
@@ -815,7 +792,7 @@ class TestProfPlane:
 
     def test_malformed_seconds_is_400(self, pipeline, tmp_path):
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False)
+            daemon = make_daemon(pipeline, tmp_path)
             await daemon.start()
             try:
                 status, _ = await _http_get(
@@ -830,7 +807,7 @@ class TestProfPlane:
 
     def test_unknown_prof_kind_is_404(self, pipeline, tmp_path):
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False)
+            daemon = make_daemon(pipeline, tmp_path)
             await daemon.start()
             try:
                 status, _ = await _http_get(
@@ -842,26 +819,9 @@ class TestProfPlane:
 
         asyncio.run(run())
 
-    def test_profiling_disabled_is_503(self, pipeline, tmp_path):
-        async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False,
-                                 profile=False)
-            await daemon.start()
-            try:
-                assert daemon.profiler is None
-                for path in ("/debug/prof/cpu", "/debug/prof/heap"):
-                    status, _ = await _http_get(
-                        daemon.config.host, daemon.admin_port, path
-                    )
-                    assert status == 503, path
-            finally:
-                await daemon.stop()
-
-        asyncio.run(run())
-
     def test_heap_endpoint_starts_lazily(self, pipeline, wave, tmp_path):
         async def run():
-            daemon = make_daemon(pipeline, tmp_path, monitor=False)
+            daemon = make_daemon(pipeline, tmp_path)
             await daemon.start()
             try:
                 assert daemon._heap is None  # tracemalloc not yet paid for

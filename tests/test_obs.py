@@ -115,15 +115,17 @@ class TestHistogram:
 
 
 class TestFractionBelow:
+    """The count at or under a threshold, the numerator of SLO math."""
+
     def test_empty_and_extremes(self):
         h = Histogram("h")
-        assert h.fraction_below(0.5) == 1.0  # no samples, no violations
+        assert h.count_below(0.5) == 0  # no samples, nothing counted
         for v in [0.1, 0.2, 0.4]:
             h.observe(v)
-        assert h.fraction_below(1.0) == 1.0  # threshold above max
-        assert h.fraction_below(0.4) == 1.0  # threshold == max
-        assert h.fraction_below(-0.1) == 0.0
-        assert h.fraction_below(0.05) == 0.0  # below min
+        assert h.count_below(1.0) == 3  # threshold above max
+        assert h.count_below(0.4) == 3  # threshold == max
+        assert h.count_below(-0.1) == 0
+        assert h.count_below(0.05) == 0  # below min
 
     def test_midrange_fraction(self):
         h = Histogram("h")
@@ -131,14 +133,14 @@ class TestFractionBelow:
             h.observe(0.01)
         for _ in range(10):
             h.observe(5.0)
-        assert h.fraction_below(0.5) == pytest.approx(0.9, abs=0.02)
+        assert h.count_below(0.5) / h.count == pytest.approx(0.9, abs=0.02)
 
     def test_counts_zero_bucket_exactly(self):
         h = Histogram("h")
         for _ in range(3):
             h.observe(0.0)
         h.observe(10.0)
-        assert h.fraction_below(1.0) == pytest.approx(0.75)
+        assert h.count_below(1.0) == 3
 
 
 class TestLabeled:

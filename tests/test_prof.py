@@ -1,4 +1,4 @@
-"""Continuous profiling: sampler, heap tracking, exemplars, leak paging."""
+"""Continuous profiling: sampler, heap tracking, exemplars, profile capture."""
 
 from __future__ import annotations
 
@@ -8,27 +8,24 @@ import time
 
 import pytest
 
+from repro.obs import prof as prof_mod
 from repro.obs import trace as trace_mod
 from repro.obs.alerts import (
     SEVERITY_PAGE,
     SEVERITY_TICKET,
     STATE_FIRING,
     AlertEvent,
-    AlertManager,
 )
 from repro.obs.export import chrome_trace_json, prometheus_text
 from repro.obs.prof import (
     HeapProfiler,
     ProfileRecorder,
     StackSampler,
-    heap_growth_objective,
-    heap_growth_rule,
     parse_collapsed,
     profile_counter_events,
     render_flame_summary,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.slo import SLObjective, SnapshotHistory, evaluate_slo
 from repro.obs.timing import Timer
 from repro.obs.trace import (
     Tracer,
@@ -194,10 +191,11 @@ class TestStackSampler:
             sampler.stop(timeout_s=5.0)
         assert not sampler.running  # joined cleanly, no deadlock
 
-    def test_no_deadlock_against_registry_snapshot(self, registry):
+    def test_no_deadlock_against_registry_snapshot(self, registry,
+                                                   monkeypatch):
         """Scraping the registry while sampling must never deadlock."""
-        sampler = StackSampler(interval_s=0.001, registry=registry,
-                               publish_every=1)
+        monkeypatch.setattr(prof_mod, "PUBLISH_EVERY", 1)  # every pass
+        sampler = StackSampler(interval_s=0.001, registry=registry)
         stop = threading.Event()
         errors: list[Exception] = []
 
@@ -248,8 +246,6 @@ class TestStackSampler:
     def test_rejects_bad_config(self, registry):
         with pytest.raises(ValueError):
             StackSampler(interval_s=0.0, registry=registry)
-        with pytest.raises(ValueError):
-            StackSampler(max_depth=0, registry=registry)
 
     def test_flame_summary_renders(self, registry):
         sampler = StackSampler(registry=registry)
@@ -326,63 +322,10 @@ class TestHeapProfiler:
             heap.stop()
 
 
-class TestGaugeSLO:
-    def test_evaluate_below_and_above_ceiling(self, registry):
-        objective = SLObjective(
-            name="g", kind="gauge", metric="prof.heap.growth_bytes_per_s",
-            threshold=100.0,
-        )
-        registry.set_gauge("prof.heap.growth_bytes_per_s", 50.0)
-        verdict = evaluate_slo(registry, objective)
-        assert verdict.ok
-        assert verdict.bad_fraction == pytest.approx(0.5)
-        registry.set_gauge("prof.heap.growth_bytes_per_s", 250.0)
-        verdict = evaluate_slo(registry, objective)
-        assert not verdict.ok
-        assert verdict.bad_fraction == pytest.approx(2.5)
-
-    def test_gauge_needs_positive_ceiling(self):
-        with pytest.raises(ValueError):
-            SLObjective(name="g", kind="gauge", metric="m", threshold=0.0)
-
-    def test_windowed_verdict_reads_later_snapshot(self, registry):
-        objective = heap_growth_objective(ceiling_bytes_per_s=100.0)
-        history = SnapshotHistory((objective,), max_horizon_s=10.0,
-                                  min_interval_s=0.0)
-        registry.set_gauge(objective.metric, 10.0)
-        history.sample(registry, now=0.0)
-        registry.set_gauge(objective.metric, 300.0)
-        history.sample(registry, now=1.0)
-        verdict = history.evaluate(objective, horizon_s=1.0)
-        assert verdict.samples > 0
-        assert verdict.burn_rate == pytest.approx(3.0)
-
-    def test_heap_growth_rule_pages_and_uses_gauge_kind(self, registry):
-        rule = heap_growth_rule(ceiling_bytes_per_s=1000.0,
-                                fast_window_s=1.0, slow_window_s=3.0)
-        assert rule.objective.kind == "gauge"
-        assert rule.severity == SEVERITY_PAGE
-        manager = AlertManager(rules=(rule,), min_interval_s=0.0)
-        # Healthy baseline, then a sustained leak across both windows.
-        registry.set_gauge(rule.objective.metric, 0.0)
-        for t in (0.0, 0.5, 1.0):
-            assert manager.observe(registry, now=t) == []
-        registry.set_gauge(rule.objective.metric, 5000.0)
-        events: list[AlertEvent] = []
-        t = 1.5
-        while t < 12.0:
-            events.extend(manager.observe(registry, now=t))
-            t += 0.5
-        firing = [e for e in events if e.state == STATE_FIRING]
-        assert firing, f"leak never paged: {events}"
-        assert firing[0].severity == SEVERITY_PAGE
-        assert firing[0].burn_fast >= 1.0
-
-
 class TestProfileRecorder:
     @staticmethod
     def _page_event(at: float = 1.0) -> AlertEvent:
-        return AlertEvent(rule="heap-growth-page", severity=SEVERITY_PAGE,
+        return AlertEvent(rule="latency-page", severity=SEVERITY_PAGE,
                           state=STATE_FIRING, at=at, burn_fast=2.0,
                           burn_slow=2.0, threshold=1.0)
 
@@ -406,7 +349,7 @@ class TestProfileRecorder:
         assert collapsed.exists()
         assert parse_collapsed(collapsed.read_text())
         payload = json.loads((bundle / "profile.json").read_text())
-        assert payload["rule"] == "heap-growth-page"
+        assert payload["rule"] == "latency-page"
         assert payload["profile"]["samples"] >= 1
 
     def test_falls_back_to_own_dir(self, registry, tmp_path):
@@ -419,16 +362,15 @@ class TestProfileRecorder:
 
     def test_ignores_non_page_and_caps_captures(self, registry, tmp_path):
         sink = ProfileRecorder(self._sampler(registry),
-                               profile_dir=str(tmp_path / "prof"),
-                               max_profiles=1)
+                               profile_dir=str(tmp_path / "prof"))
         ticket = AlertEvent(rule="r", severity=SEVERITY_TICKET,
                             state=STATE_FIRING, at=1.0, burn_fast=2.0,
                             burn_slow=2.0, threshold=1.0)
         sink.emit(ticket)
         assert sink.profiles == []
-        sink.emit(self._page_event(1.0))
-        sink.emit(self._page_event(2.0))
-        assert len(sink.profiles) == 1
+        for k in range(prof_mod.MAX_PROFILES + 1):
+            sink.emit(self._page_event(1.0 + k))
+        assert len(sink.profiles) == prof_mod.MAX_PROFILES
 
     def test_includes_heap_report_when_attached(self, registry, tmp_path):
         heap = HeapProfiler(registry=registry)

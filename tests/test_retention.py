@@ -29,7 +29,7 @@ def finish_root(tracer, status=None, **attrs):
 
 
 class TestRetentionReasons:
-    """Reason precedence: error > shed > degraded > slo-latency > slow."""
+    """Reason precedence: error > shed > degraded > slo-latency."""
 
     def policy(self, **kwargs):
         return RetentionPolicy(**kwargs)
@@ -60,19 +60,6 @@ class TestRetentionReasons:
 
     def test_healthy_root_is_dropped(self, tracer):
         assert self.policy().reason(self.span_with(tracer)) is None
-
-    def test_slow_span_threshold_is_wall_clock(self, tracer):
-        span = tracer.start_span("op", root=True, start_perf_s=0.0)
-        span.end(end_perf_s=1.0)
-        assert self.policy().reason(span) is None          # off by default
-        assert self.policy(slow_span_s=0.5).reason(span) == "slow"
-
-    def test_knobs_disable_their_checks(self, tracer):
-        policy = self.policy(keep_errors=False, keep_degraded=False,
-                             slow_latency_s=None)
-        assert policy.reason(
-            self.span_with(tracer, status="error", shed=True,
-                           latency_s=9.0)) is None
 
 
 class TestProvisionalRoots:

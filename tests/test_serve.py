@@ -10,7 +10,7 @@ import pytest
 from repro.affect.pipeline import AffectClassifierPipeline
 from repro.datasets import emovo_like
 from repro.datasets.speech import synthesize_utterance
-from repro.errors import OverloadShedError, SessionEvictedError
+from repro.errors import SessionEvictedError
 from repro.resilience import CLOSED, OPEN, CircuitBreaker
 from repro.serve import (
     AffectServer,
@@ -317,16 +317,6 @@ class TestAffectServer:
         results += server.drain(now=1.0)
         assert server.dropped == 0
         assert server.submitted == len(results) == 8
-
-    def test_strict_admission_raises(self, pipeline, waves):
-        server = self._server(pipeline, max_queue=1, max_wait_s=10.0,
-                              max_batch=100, strict_admission=True)
-        server.submit("u1", waves[0], now=0.0)
-        with pytest.raises(OverloadShedError):
-            server.submit("u2", waves[1], now=0.0)
-        # Rejected requests never count as submitted (nothing to account).
-        assert server.submitted == 1
-        assert server.dropped == 0
 
     def test_batch_failure_degrades_to_session_fallback(self, pipeline,
                                                         waves):

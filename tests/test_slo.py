@@ -373,8 +373,6 @@ class TestSnapshotHistory:
 
 _LATENCY = latency_slo(threshold=0.5, target=0.95)
 _RATIO = ratio_slo(threshold=0.1)
-_GAUGE = SLObjective(name="heap", kind="gauge", metric="heap",
-                     threshold=100.0)
 _MAX_HORIZON_S = 2.0
 _MIN_INTERVAL_S = 0.25
 
@@ -387,7 +385,6 @@ _steps = st.lists(st.one_of(
         st.floats(-0.05, 5.0),
     )),
     st.tuples(st.just("inc"), st.integers(0, 5), st.integers(0, 20)),
-    st.tuples(st.just("gauge"), st.floats(-50.0, 300.0)),
     # Some advances fall inside min_interval_s and are dropped.
     st.tuples(st.just("sample"),
               st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.5, 1.0, 2.5])),
@@ -415,14 +412,12 @@ class _Reference:
         self.generation = 0
         self.latencies = []
         self.bad = self.total = 0
-        self.gauge = 0.0
         self.captures = []
 
     def reset(self):
         self.generation += 1
         self.latencies = []
         self.bad = self.total = 0
-        self.gauge = 0.0
 
     def sample(self, now):
         if self.captures and self.captures[-1]["generation"] != self.generation:
@@ -432,7 +427,7 @@ class _Reference:
         self.captures.append({
             "t": now, "generation": self.generation,
             "latencies": tuple(self.latencies),
-            "bad": self.bad, "total": self.total, "gauge": self.gauge,
+            "bad": self.bad, "total": self.total,
         })
         while (len(self.captures) > 2
                and now - self.captures[1]["t"] >= _MAX_HORIZON_S):
@@ -455,10 +450,6 @@ class _Reference:
             return none
         earlier, later = pair
         assert earlier["generation"] == later["generation"]
-        if objective.kind == "gauge":
-            value = later["gauge"]
-            bad = max(0.0, value) / objective.threshold
-            return 1.0, bad, bad, value <= objective.threshold, value
         if objective.kind == "ratio":
             den = float(later["total"]) - float(earlier["total"])
             if den <= 0:
@@ -487,7 +478,7 @@ class TestVerdictsOnGeneratedSteps:
     @settings(max_examples=150, deadline=None)
     def test_windowed_verdicts_match_brute_force(self, steps):
         registry = MetricsRegistry()
-        objectives = (_LATENCY, _RATIO, _GAUGE)
+        objectives = (_LATENCY, _RATIO)
         history = SnapshotHistory(objectives, max_horizon_s=_MAX_HORIZON_S,
                                   min_interval_s=_MIN_INTERVAL_S)
         ref = _Reference()
@@ -502,9 +493,6 @@ class TestVerdictsOnGeneratedSteps:
                 registry.inc("total", step[2])
                 ref.bad += step[1]
                 ref.total += step[2]
-            elif kind == "gauge":
-                registry.set_gauge("heap", step[1])
-                ref.gauge = step[1]
             elif kind == "sample":
                 now += step[1]
                 assert history.sample(registry, now) == ref.sample(now)

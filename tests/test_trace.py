@@ -246,6 +246,23 @@ class TestSampling:
         with pytest.raises(ValueError):
             Tracer(registry=MetricsRegistry()).configure(sample_rate=-0.1)
 
+    def test_configure_then_restore_leaves_settings_as_they_were(self):
+        policy = RetentionPolicy()
+        tracer = Tracer(registry=MetricsRegistry(), sample_rate=0.5, seed=3,
+                        retention=policy)
+        first = tracer.start_span("op", root=True).trace_id
+        previous = tracer.configure(sample_rate=0.01, seed=9, retention=None)
+        assert (tracer.sample_rate, tracer.seed, tracer.retention) == (
+            0.01, 9, None)
+        tracer.configure(**previous)
+        assert (tracer.sample_rate, tracer.seed, tracer.retention) == (
+            0.5, 3, policy)
+        # The seed-derived ID fields are restored too.
+        assert tracer.start_span("op", root=True).trace_id[16:24] == (
+            first[16:24])
+        # Only what was changed is returned, so only that is restored.
+        assert tracer.configure(seed=4) == {"seed": 3}
+
     def test_fractional_sampling_is_deterministic(self):
         registry = MetricsRegistry()
         tracer = Tracer(registry=registry, sample_rate=0.5, seed=11)
