@@ -91,10 +91,14 @@ class TestTierLadder:
 
 
 class TestAdaptiveConfigValidation:
-    def test_constants_keep_the_dead_band(self):
-        assert (0.0 < adaptive.PROMOTE_QUEUE_FRAC < adaptive.DEMOTE_QUEUE_FRAC
-                <= adaptive.EMERGENCY_QUEUE_FRAC)
+    # The thresholds are module constants; these pin the dead band the
+    # controller's hysteresis relies on.
+    def test_promote_must_sit_below_demote(self):
+        assert 0.0 < adaptive.PROMOTE_QUEUE_FRAC < adaptive.DEMOTE_QUEUE_FRAC
         assert adaptive.PROMOTE_BURN < adaptive.DEMOTE_BURN
+
+    def test_emergency_above_demote(self):
+        assert adaptive.DEMOTE_QUEUE_FRAC <= adaptive.EMERGENCY_QUEUE_FRAC
 
     def test_battery_fields(self):
         with pytest.raises(ValueError):
