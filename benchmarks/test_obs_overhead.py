@@ -19,55 +19,48 @@ from pathlib import Path
 
 from benchmarks.conftest import report
 
+from repro.bench import (
+    PAIRS,
+    measure_monitor_overhead,
+    measure_profile_overhead,
+    paired_overhead,
+    paired_walls,
+    run_canned_workload,
+)
 from repro.obs import get_registry
-from repro.obs.workload import run_canned_workload
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_obs.json"
-PAIRS = 20
-
-
-def _workload_time(enabled: bool) -> float:
-    """Wall seconds of one workload run with the registry toggled."""
-    registry = get_registry()
-    previous = registry.enabled
-    try:
-        registry.enabled = enabled
-        registry.reset()
-        start = time.perf_counter()
-        run_canned_workload(seed=0)
-        return time.perf_counter() - start
-    finally:
-        registry.enabled = previous
 
 
 def test_obs_snapshot_and_overhead():
-    # Paired arms, the protocol of measure_monitor_overhead: the two
-    # runs of a pair see the same phase of host drift, which cancels in
-    # their ratio; the first arm alternates from pair to pair, one
-    # warm-up pair is discarded, and the median ratio is gated.
-    times: dict[bool, list[float]] = {False: [], True: []}
-    ratios: list[float] = []
+    registry = get_registry()
     snapshot: dict = {}
-    for i in range(PAIRS + 1):
-        pair: dict[bool, float] = {}
-        for enabled in ((False, True) if i % 2 == 0 else (True, False)):
-            pair[enabled] = _workload_time(enabled)
-            if enabled:
-                # A registry-on run leaves a full metrics snapshot.
-                snapshot = get_registry().snapshot()
-        if i == 0:
-            continue
-        for enabled, wall_s in pair.items():
-            times[enabled].append(wall_s)
-        ratios.append(pair[True] / pair[False])
-    disabled_s = statistics.median(times[False])
-    enabled_s = statistics.median(times[True])
-    overhead = statistics.median(ratios) - 1.0
+
+    def workload_time(arm: str) -> float:
+        """Wall seconds of one workload run with the registry toggled."""
+        previous = registry.enabled
+        try:
+            registry.enabled = arm == "enabled"
+            registry.reset()
+            start = time.perf_counter()
+            run_canned_workload(seed=0)
+            wall_s = time.perf_counter() - start
+        finally:
+            registry.enabled = previous
+        if arm == "enabled":
+            # A registry-on run leaves a full metrics snapshot.
+            snapshot.update(registry.snapshot())
+        return wall_s
+
+    walls = paired_walls(workload_time, ("disabled", "enabled"))
+    disabled_s = statistics.median(walls["disabled"])
+    enabled_s = statistics.median(walls["enabled"])
+    overhead = paired_overhead(walls, "enabled", "disabled")
 
     payload = {
         "benchmark": "obs_overhead",
-        "workload": "repro.obs.workload.run_canned_workload(seed=0)",
+        "workload": "repro.bench.run_canned_workload(seed=0)",
         "python": platform.python_version(),
         "repeats": PAIRS,
         "workload_s_disabled": disabled_s,
@@ -107,8 +100,6 @@ def test_monitor_overhead():
     shipped (full tracing); ``vs_untraced_frac`` against the
     no-observability floor is recorded for transparency.
     """
-    from repro.obs.monitor import measure_monitor_overhead
-
     result = measure_monitor_overhead()
 
     # Amend the benchmark file the snapshot test wrote (tests run in
@@ -121,7 +112,7 @@ def test_monitor_overhead():
 
     report(
         "Monitoring overhead (serve bench, alerts + retention + recorder)",
-        ["arm", f"best of {result['repeats']} (s)"],
+        ["arm", f"median of {result['repeats']} pairs (s)"],
         [
             ["default (traced)", f"{result['default_wall_s']:.3f}"],
             ["untraced", f"{result['untraced_wall_s']:.3f}"],
@@ -148,8 +139,6 @@ def test_profile_overhead():
     shared CI boxes dwarfs a 2% differential (see
     ``measure_profile_overhead``'s docstring).
     """
-    from repro.obs.prof import measure_profile_overhead
-
     result = measure_profile_overhead()
 
     payload = (
@@ -160,7 +149,7 @@ def test_profile_overhead():
 
     report(
         "Profiling overhead (serve bench, 100 Hz stack sampler)",
-        ["arm", f"best of {result['repeats']}x{result['inner']} (s)"],
+        ["arm", f"median of {result['repeats']} pairs (s)"],
         [
             ["default (traced)", f"{result['default_wall_s']:.3f}"],
             ["profiled", f"{result['profiled_wall_s']:.3f}"],

@@ -18,58 +18,49 @@ from __future__ import annotations
 
 import json
 import platform
+import statistics
 from pathlib import Path
 
 from benchmarks.conftest import report
 
+from repro.bench import PAIRS, paired_overhead, paired_walls
 from repro.obs import get_registry
 from repro.resilience.chaos import run_chaos_workload, run_surge_workload
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_resilience.json"
 FAULT_RATES = (0.0, 0.05, 0.2)
-REPEATS = 3
 WINDOWS = 24
 CLIPS = 3
 
 
-def _best_run(fault_rate: float, resilience: bool) -> dict[str, object]:
-    """Stats from the fastest of ``REPEATS`` identical chaos runs.
-
-    The runs are deterministic for a fixed seed, so taking the loop-time
-    minimum only de-noises the latency measurement — every other stat is
-    identical across repeats.
-    """
-    best: dict[str, object] | None = None
-    for _ in range(REPEATS):
-        get_registry().reset()
-        stats = run_chaos_workload(
-            seed=0, fault_rate=fault_rate, windows=WINDOWS, clips=CLIPS,
-            resilience=resilience,
-        )
-        if best is None or stats["loop_s"] < best["loop_s"]:
-            best = stats
-    assert best is not None
-    return best
+def _run(fault_rate: float, resilience: bool = True) -> dict[str, object]:
+    """One chaos run; deterministic for the seed except ``loop_s``."""
+    get_registry().reset()
+    return run_chaos_workload(seed=0, fault_rate=fault_rate, windows=WINDOWS,
+                              clips=CLIPS, resilience=resilience)
 
 
 def test_resilience_degradation_curve_and_overhead():
-    curve = {f"{rate:.2f}": _best_run(rate, resilience=True)
-             for rate in FAULT_RATES}
-    bare = _best_run(0.0, resilience=False)
+    curve = {f"{rate:.2f}": _run(rate) for rate in FAULT_RATES}
     clean = curve["0.00"]
-    overhead = clean["loop_s"] / bare["loop_s"] - 1.0
+    walls = paired_walls(
+        lambda arm: _run(0.0, arm == "resilient")["loop_s"],
+        ("bare", "resilient"))
+    bare_s = statistics.median(walls["bare"])
+    resilient_s = statistics.median(walls["resilient"])
+    overhead = paired_overhead(walls, "resilient", "bare")
 
     payload = {
         "benchmark": "resilience",
         "workload": "repro.resilience.chaos.run_chaos_workload(seed=0)",
         "python": platform.python_version(),
-        "repeats": REPEATS,
+        "repeats": PAIRS,
         "windows": WINDOWS,
         "clips": CLIPS,
         "fault_rates": list(FAULT_RATES),
         "curve": curve,
-        "bare_loop_s": bare["loop_s"],
+        "bare_loop_s": bare_s,
         "wrapper_overhead_fraction": overhead,
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -94,11 +85,11 @@ def test_resilience_degradation_curve_and_overhead():
     )
     report(
         "Resilience — wrapper overhead on the fault-free path",
-        ["loop", "best of 3 (s)"],
+        ["loop", f"median of {PAIRS} pairs (s)"],
         [
-            ["bare", f"{bare['loop_s']:.3f}"],
-            ["resilient", f"{clean['loop_s']:.3f}"],
-            ["overhead", f"{overhead * 100:.2f}%"],
+            ["bare", f"{bare_s:.3f}"],
+            ["resilient", f"{resilient_s:.3f}"],
+            ["overhead (median paired ratio)", f"{overhead * 100:.2f}%"],
         ],
     )
 

@@ -152,7 +152,7 @@ def _stats(args: argparse.Namespace) -> None:
     from repro.obs.alerts import DEFAULT_ALERT_RULES, AlertManager
     from repro.obs.export import prometheus_text
     from repro.obs.slo import evaluate_slos, render_slo_report
-    from repro.obs.workload import run_canned_workload
+    from repro.bench import run_canned_workload
 
     registry = get_registry()
     registry.reset()
@@ -358,8 +358,9 @@ def _serve_bench(args: argparse.Namespace) -> None:
         shed = sum(cell["accounting"]["shed"] for _, _, _, cell in cells)
         parity = payload["parity"]
     else:
+        from repro.bench import measure_trace_overhead
         from repro.obs import get_registry
-        from repro.serve.bench import measure_trace_overhead, train_bench_pipeline
+        from repro.serve.bench import train_bench_pipeline
 
         get_registry().reset()
         pipeline = train_bench_pipeline(seed=args.seed)
@@ -396,7 +397,7 @@ def _serve_bench(args: argparse.Namespace) -> None:
             print(f"trace overhead: {overhead['overhead_frac'] * 100:+.2f}% "
                   f"(on {overhead['tracing_on_wall_s'] * 1e3:.0f} ms vs "
                   f"off {overhead['tracing_off_wall_s'] * 1e3:.0f} ms, "
-                  f"best of {overhead['repeats']})")
+                  f"median of {overhead['repeats']} pairs)")
         print(f"accounting: {acct['submitted']} submitted = "
               f"{acct['completed']} completed + {acct['shed']} shed "
               f"({acct['dropped']} dropped)")
@@ -474,7 +475,7 @@ def _monitor(args: argparse.Namespace) -> None:
     import json
     from pathlib import Path
 
-    from repro.obs.monitor import run_monitored_surge
+    from repro.serve.adaptive_bench import run_monitored_surge
 
     report = run_monitored_surge(
         seed=args.seed, sessions=args.sessions, seconds=args.seconds,
@@ -525,11 +526,8 @@ def _profile(args: argparse.Namespace) -> None:
     from pathlib import Path
 
     from repro.obs.export import chrome_trace_json
-    from repro.obs.prof import (
-        profile_counter_events,
-        render_flame_summary,
-        run_profile_workload,
-    )
+    from repro.obs.prof import profile_counter_events, render_flame_summary
+    from repro.serve.bench import run_profile_workload
 
     print(f"profiling serve workload ({args.sessions} sessions, "
           f"{args.seconds:g} s, seed {args.seed}, "

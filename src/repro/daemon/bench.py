@@ -40,6 +40,8 @@ from repro.serve.bench import _quantiles
 BENCH_PERIOD_S = 0.25
 #: Post-traffic grace before asserting chaos sessions were reaped.
 REAP_GRACE_S = 0.3
+#: Connections the preemption probe opens past a full table.
+PROBE_EXTRA = 2
 
 
 def _wire_window(seq: int, signal_b64: str) -> bytes:
@@ -332,7 +334,6 @@ async def _bench_async(
     max_inflight: int,
     max_batch: int,
     period_s: float,
-    probe_extra: int,
     bundle_dir: str,
     pipeline,
     connect: tuple[str, int] | None,
@@ -403,7 +404,7 @@ async def _bench_async(
         if spawn:
             probe = await _preemption_probe(
                 host, port, fill=daemon.config.max_connections,
-                extra=probe_extra,
+                extra=PROBE_EXTRA,
             )
         else:
             probe = {"filled": 0, "extra": 0, "preempted_frames": 0}
@@ -464,7 +465,7 @@ async def _bench_async(
             "chaos_sessions": chaos_sessions,
             "max_inflight": max_inflight,
             "max_batch": max_batch,
-            "probe_extra": probe_extra,
+            "probe_extra": PROBE_EXTRA,
             "mode": "spawn" if spawn else "connect",
         },
         "traffic": traffic,
@@ -484,7 +485,6 @@ def run_daemon_bench(
     max_inflight: int = 8,
     max_batch: int = 32,
     period_s: float = BENCH_PERIOD_S,
-    probe_extra: int = 2,
     bundle_dir: str = "incidents",
     pipeline=None,
     connect: tuple[str, int] | None = None,
@@ -505,7 +505,6 @@ def run_daemon_bench(
     return asyncio.run(_bench_async(
         sessions=sessions, seconds=seconds, seed=seed,
         chaos_sessions=chaos_sessions, max_inflight=max_inflight,
-        max_batch=max_batch, period_s=period_s, probe_extra=probe_extra,
-        bundle_dir=bundle_dir, pipeline=pipeline, connect=connect,
-        admin=admin,
+        max_batch=max_batch, period_s=period_s, bundle_dir=bundle_dir,
+        pipeline=pipeline, connect=connect, admin=admin,
     ))

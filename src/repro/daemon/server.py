@@ -65,7 +65,7 @@ from repro.daemon import protocol
 from repro.daemon.blas import blas_threads, set_blas_threads
 from repro.errors import ProtocolError
 from repro.obs import get_registry, labeled
-from repro.obs.monitor import make_monitor
+from repro.obs.monitor import make_monitor, monitor_tick
 from repro.obs.prof import HeapProfiler, ProfileRecorder, StackSampler
 from repro.serve.runtime import AffectServer, ServeResult
 
@@ -599,7 +599,4 @@ class ReproDaemon:
             obs.set_gauge("daemon.sessions.active",
                           len(self.server.sessions))
             obs.set_gauge("daemon.uptime_s", now)
-            # Both are internally rate-limited, so per-tick calls cost
-            # one comparison in the common case.
-            self.manager.observe(obs, now)
-            self.recorder.record(obs, now)
+            monitor_tick(self.manager, self.recorder, obs, now)

@@ -39,9 +39,6 @@ C-extension work (numpy kernels) is attributed to the Python frame that
 called it; and because the sampler thread must acquire the GIL to run,
 samples land at bytecode boundaries, slightly under-representing tight
 C loops that release the GIL.
-
-Serve imports stay function-local: ``repro.obs`` must remain importable
-without numpy.
 """
 
 from __future__ import annotations
@@ -717,196 +714,3 @@ def parse_collapsed(text: str) -> dict[tuple[str, ...], int]:
         out[tuple(stack.split(";"))] = (
             out.get(tuple(stack.split(";")), 0) + int(count))
     return out
-
-
-# -- workloads ----------------------------------------------------------------
-
-def run_profile_workload(
-    sessions: int = 16,
-    seconds: float = 4.0,
-    seed: int = 0,
-    max_batch: int = 32,
-    interval_s: float = DEFAULT_INTERVAL_S,
-    heap: bool = True,
-    pipeline: Any = None,
-) -> dict[str, Any]:
-    """The serve bench under the profiler — what ``repro profile`` runs.
-
-    Full tracing (sample rate 1.0) so every window's stage scopes feed
-    the attribution table; the schedule loop itself runs under a
-    ``serve.bench`` driver stage, so driver time between submits is
-    attributed rather than dark.  Returns the bench report plus profile
-    and heap sections and the acceptance figure
-    ``attribution['fraction']`` (the CLI gates it at ≥0.90).
-    """
-    from repro.serve.bench import run_serve_bench, train_bench_pipeline
-
-    if pipeline is None:
-        pipeline = train_bench_pipeline(seed=seed)
-    registry = get_registry()
-    tracer = _trace.get_tracer()
-    registry.reset()
-    previous = tracer.configure(sample_rate=1.0, seed=seed, retention=None)
-    tracer.clear()
-
-    heap_profiler = HeapProfiler(registry=registry) if heap else None
-    if heap_profiler is not None:
-        heap_profiler.start()
-    sampler = StackSampler(interval_s=interval_s, registry=registry,
-                           heap=heap_profiler)
-    sampler.start()
-    _trace.push_thread_stage("serve.bench")
-    try:
-        report = run_serve_bench(
-            sessions=sessions, seconds=seconds, seed=seed,
-            max_batch=max_batch, pipeline=pipeline,
-            baseline=False, parity=False,
-        )
-    finally:
-        _trace.pop_thread_stage()
-        sampler.stop()
-        if heap_profiler is not None:
-            heap_profiler.sample()
-        spans = tracer.spans
-        if heap_profiler is not None:
-            heap_report = heap_profiler.report()
-            heap_profiler.stop()
-        else:
-            heap_report = None
-        tracer.configure(**previous)
-    stats = sampler.stats()
-    return {
-        "workload": {
-            "sessions": sessions,
-            "seconds": seconds,
-            "seed": seed,
-            "max_batch": max_batch,
-            "windows_per_s": report["served"].get("windows_per_s"),
-            "wall_s": report["served"].get("wall_s"),
-        },
-        "profile": stats,
-        "heap": heap_report,
-        "attribution": {
-            "fraction": stats["attributed_fraction"],
-            "samples": stats["samples"],
-            "stages": stats["stage_samples"],
-        },
-        "_sampler": sampler,
-        "_heap": heap_profiler,
-        "_spans": spans,
-    }
-
-
-def measure_profile_overhead(
-    pipeline: Any = None,
-    sessions: int = 16,
-    seconds: float = 4.0,
-    seed: int = 0,
-    max_batch: int = 32,
-    repeats: int = 10,
-    inner: int = 3,
-) -> dict[str, float]:
-    """Cost of the default profiler on the serve bench, two ways.
-
-    Two arms run back to back per iteration with rotating order after a
-    discarded warm-up lap (the protocol of
-    :func:`repro.obs.monitor.measure_monitor_overhead`; each arm's
-    figure per iteration sums ``inner`` bench walls for extra signal):
-
-    - ``default`` — the serve bench exactly as shipped;
-    - ``profiled`` — a :class:`StackSampler` at the default 100 Hz
-      attached for the whole run (stage tracking on, **no** heap
-      profiler: ``tracemalloc`` is an explicit opt-in, not part of the
-      default configuration this gate covers).
-
-    **The gated figure** (``overhead_frac``, asserted < 0.02 in
-    ``benchmarks/test_obs_overhead.py``) is the sampler's
-    *self-accounted* cost: wall seconds spent inside sampling passes
-    (measured per pass by the same clock the overrun detector uses)
-    divided by the profiled arm's real runtime.  The A/B wall
-    comparison is recorded alongside as ``overhead_frac_ab`` for
-    transparency but deliberately not gated: on the small shared boxes
-    CI runs on, run-to-run scheduler noise is ±10–25% of a ~60 ms bench
-    wall, so a 2% differential gate on it would flip a coin — observed
-    medians here ranged −2.9% to +11.7% across identical runs.  What
-    self-accounting misses (GIL handoff latency, cache pollution, the
-    per-span stage push/pop) is bounded separately: the scope hook
-    microbenchmarks at ~140 ns per span, well under measurement noise.
-    """
-    import statistics
-
-    from repro.serve.bench import run_serve_bench, train_bench_pipeline
-
-    if pipeline is None:
-        pipeline = train_bench_pipeline(seed=seed)
-    registry = get_registry()
-    tracer = _trace.get_tracer()
-    previous = tracer.configure(sample_rate=1.0, seed=seed, retention=None)
-    last_stats: dict[str, Any] = {}
-
-    accounted = {"sampling_s": 0.0, "attached_s": 0.0, "samples": 0}
-
-    def one_run(arm: str) -> float:
-        wall = 0.0
-        for _ in range(inner):
-            registry.reset()
-            tracer.clear()
-            sampler = None
-            if arm == "profiled":
-                sampler = StackSampler(registry=registry).start()
-            attach0 = time.perf_counter()
-            try:
-                report = run_serve_bench(
-                    sessions=sessions, seconds=seconds, seed=seed,
-                    max_batch=max_batch, pipeline=pipeline, baseline=False,
-                    parity=False,
-                )
-            finally:
-                if sampler is not None:
-                    accounted["attached_s"] += (
-                        time.perf_counter() - attach0)
-                    sampler.stop()
-                    accounted["sampling_s"] += sampler.sampling_time_s
-                    accounted["samples"] += sampler.samples_total
-                    last_stats.update(sampler.stats())
-            wall += float(report["served"]["wall_s"])  # type: ignore[index]
-        return wall
-
-    arms = ("default", "profiled")
-    orders = (("default", "profiled"), ("profiled", "default"))
-    best = dict.fromkeys(arms, float("inf"))
-    ratios: list[float] = []
-    try:
-        for arm in arms:  # warm-up lap, discarded
-            one_run(arm)
-        for i in range(repeats):
-            walls: dict[str, float] = {}
-            for arm in orders[i % len(orders)]:
-                wall = one_run(arm)
-                walls[arm] = wall
-                best[arm] = min(best[arm], wall)
-            ratios.append(walls["profiled"] / walls["default"])
-    finally:
-        tracer.configure(**previous)
-        tracer.clear()
-        registry.reset()
-    attached_s = accounted["attached_s"]
-    return {
-        "sessions": sessions,
-        "seconds": seconds,
-        "repeats": repeats,
-        "inner": inner,
-        "interval_s": DEFAULT_INTERVAL_S,
-        "default_wall_s": best["default"],
-        "profiled_wall_s": best["profiled"],
-        # Gated: self-accounted sampling share of the profiled runtime.
-        "overhead_frac": (accounted["sampling_s"] / attached_s
-                          if attached_s > 0 else 0.0),
-        "sampling_time_s": accounted["sampling_s"],
-        "attached_s": attached_s,
-        "samples_total": float(accounted["samples"]),
-        # Recorded, not gated: A/B wall medians drown in scheduler
-        # noise on small shared boxes (see docstring).
-        "overhead_frac_ab": statistics.median(ratios) - 1.0,
-        "samples_last_run": float(last_stats.get("samples", 0)),
-    }

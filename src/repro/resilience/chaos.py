@@ -47,15 +47,15 @@ def run_chaos_workload(
     fault_rate: float = 0.2,
     windows: int = 24,
     clips: int = 3,
-    plan: FaultPlan | None = None,
     resilience: bool = True,
 ) -> dict[str, object]:
     """Run the chain under a fault plan; returns survival/degradation stats.
 
-    All metrics additionally land in the process registry
-    (``resilience.*``, ``core.controller.*``, ``video.decoder.*``); the
-    caller exports them.  Deterministic for a given ``(seed, fault_rate,
-    windows, clips, plan, resilience)``.
+    The plan is :meth:`FaultPlan.uniform` at ``fault_rate``.  All metrics
+    additionally land in the process registry (``resilience.*``,
+    ``core.controller.*``, ``video.decoder.*``); the caller exports them.
+    Deterministic for a given ``(seed, fault_rate, windows, clips,
+    resilience)``, except the loop's wall time ``loop_s``.
     """
     from repro.affect.pipeline import AffectClassifierPipeline
     from repro.android.app import build_app_catalog
@@ -72,7 +72,7 @@ def run_chaos_workload(
     from repro.video.quality import sequence_psnr
 
     obs = get_registry()
-    plan = plan if plan is not None else FaultPlan.uniform(fault_rate)
+    plan = FaultPlan.uniform(fault_rate)
     injector = FaultInjector(plan, seed=seed)
     crashes = 0
 
@@ -278,7 +278,6 @@ def surge_plan_fixtures(
     seed: int = 0,
     sessions: int = 96,
     seconds: float = 12.0,
-    surge_scale: float = 8.0,
     plan: str = "surge",
 ) -> dict[str, object]:
     """Everything one surge chaos plan needs: pipeline, pool, events.
@@ -294,14 +293,14 @@ def surge_plan_fixtures(
         raise ValueError(f"unknown surge plan {plan!r}")
     # Serve imports stay lazy: resilience is a dependency of the serve
     # package, so importing it back at module level would be a cycle.
-    from repro.serve.adaptive_bench import POOL_SIZE, make_surge_events
+    from repro.serve.adaptive_bench import POOL_SIZE, SURGE_SCALE, make_surge_events
     from repro.serve.bench import make_pool, train_bench_pipeline
 
     pipeline = train_bench_pipeline(seed=seed)
     clf = pipeline.classifier
     assert clf is not None
     pool, truths = make_pool(clf.label_names, POOL_SIZE, seed)
-    events = make_surge_events(sessions, seconds, seed, POOL_SIZE, surge_scale)
+    events = make_surge_events(sessions, seconds, seed, POOL_SIZE, SURGE_SCALE)
     return {
         "pipeline": pipeline,
         "pool": pool,
@@ -317,7 +316,6 @@ def run_surge_workload(
     seed: int = 0,
     sessions: int = 96,
     seconds: float = 12.0,
-    surge_scale: float = 8.0,
     plan: str = "surge",
 ) -> dict[str, object]:
     """Serve-layer chaos: a diurnal load surge (or battery drain) A/B.
@@ -336,9 +334,9 @@ def run_surge_workload(
     two-architecture ladder lives in ``repro adaptive-bench``.
     """
     from repro.serve.adaptive import AdaptiveController, ladder_from_pipeline
-    from repro.serve.adaptive_bench import bench_adaptive_config, run_surge_arm
+    from repro.serve.adaptive_bench import SURGE_SCALE, bench_adaptive_config, run_surge_arm
 
-    fixtures = surge_plan_fixtures(seed, sessions, seconds, surge_scale, plan)
+    fixtures = surge_plan_fixtures(seed, sessions, seconds, plan)
     pipeline = fixtures["pipeline"]
     ladder = ladder_from_pipeline(pipeline)
     pool = fixtures["pool"]
@@ -381,7 +379,7 @@ def run_surge_workload(
         "seed": seed,
         "sessions": sessions,
         "seconds": seconds,
-        "surge_scale": surge_scale,
+        "surge_scale": SURGE_SCALE,
         "windows": len(events),
         "ladder": list(ladder.names),
         "baseline": baseline,

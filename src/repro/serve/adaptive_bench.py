@@ -22,13 +22,18 @@ sweeps the accuracy / throughput / energy frontier into
 from __future__ import annotations
 
 import time
+from typing import Any
 
 import numpy as np
 
 from repro.affect.pipeline import AffectClassifierPipeline
 from repro.datasets.phone_usage import surge_schedule
-from repro.obs import get_registry
+from repro.obs import get_registry, get_tracer
+from repro.obs.alerts import render_alert_timeline
+from repro.obs.monitor import MONITOR_FAST_WINDOW_S, make_monitor, monitor_tick
 from repro.obs.slo import DEFAULT_SLOS
+from repro.obs.trace import RetentionPolicy
+from repro.resilience.chaos import surge_plan_fixtures
 from repro.serve.adaptive import (
     AdaptiveConfig,
     AdaptiveController,
@@ -56,6 +61,14 @@ POLL_PERIOD_S = 0.125
 #: Battery sized so a session serving its whole surge workload at the
 #: top (LSTM float) tier spends most of a full charge.
 BATTERY_CAPACITY = 15.0
+#: Peak-over-base load of the headline surge every surge plan throws.
+SURGE_SCALE = 8.0
+#: The frontier's axes: surge scales at full charge, and initial charge
+#: fractions at the headline surge.
+LOAD_SCALES = (1.0, 4.0, 8.0)
+BATTERY_FRACTIONS = (1.0, 0.15, 0.05)
+#: Workload seconds ``repro monitor`` keeps sampling after traffic ends.
+MONITOR_COOLDOWN_S = 3.0
 
 #: The p95 objective the adaptive arm must hold during the surge.
 LATENCY_SLO = next(o for o in DEFAULT_SLOS if o.name == "serve-p95-latency")
@@ -230,15 +243,147 @@ def run_surge_arm(
     return arm
 
 
+def _retention_coverage(
+    results: list[Any],
+    slow_latency_s: float,
+) -> dict[str, object]:
+    """Did tail retention keep every SLO-violating window's trace?
+
+    A served window violates when it was shed, answered degraded, or
+    exceeded the latency SLO threshold — exactly the predicate
+    :class:`~repro.obs.trace.RetentionPolicy` applies to root spans, so
+    coverage below 1.0 means retention lost evidence.
+    """
+    tracer = get_tracer()
+    violating = sum(
+        1 for r in results
+        if r.shed or r.degraded or r.latency_s > slow_latency_s
+    )
+    retained_roots = [
+        span for span in tracer.retained
+        if span.parent_id is None and span.name == "serve.window"
+    ]
+    reasons: dict[str, int] = {}
+    for span in retained_roots:
+        reason = span.attrs.get("retention_reason", "?")
+        reasons[reason] = reasons.get(reason, 0) + 1
+    return {
+        "violating_windows": violating,
+        "retained_roots": len(retained_roots),
+        "by_reason": reasons,
+        "coverage": (len(retained_roots) / violating) if violating else 1.0,
+        "head_sampled_out": int(
+            get_registry().counter("obs.trace.sampled_out").value
+        ),
+    }
+
+
+def run_monitored_surge(
+    seed: int = 0,
+    sessions: int = 64,
+    seconds: float = 12.0,
+    plan: str = "surge",
+    sample_rate: float = 0.01,
+    bundle_dir: str = "incidents",
+    alert_log: str | None = None,
+) -> dict[str, object]:
+    """The surge chaos plan under full monitoring; returns report + gates.
+
+    ``repro monitor`` runs the **baseline** (shed-only) arm of
+    :func:`repro.resilience.chaos.surge_plan_fixtures`, the arm where the
+    8x surge is lethal, with the :func:`~repro.obs.monitor.make_monitor`
+    stack ticked on every poll and tail retention under aggressive head
+    sampling (default 0.01), so the retained ring holds *every*
+    SLO-violating trace.  Observation goes on for
+    :data:`MONITOR_COOLDOWN_S` of workload time after traffic ends, which
+    lets the page resolve.  The gates (the CI ``monitor-smoke``
+    contract): the page fires within one fast window (plus one sample
+    interval of slack) of surge onset and then resolves, every
+    SLO-violating window's trace is retained, and a bundle was written.
+    """
+    fixtures = surge_plan_fixtures(seed, sessions, seconds, plan)
+    surge_start_s = float(fixtures["surge_start_s"])  # type: ignore[arg-type]
+
+    registry = get_registry()
+    tracer = get_tracer()
+    slow_latency_s = LATENCY_SLO.threshold
+    previous = tracer.configure(
+        sample_rate=sample_rate, seed=seed,
+        retention=RetentionPolicy(slow_latency_s=slow_latency_s),
+    )
+    tracer.clear()
+    manager, recorder = make_monitor(bundle_dir=bundle_dir,
+                                     alert_log=alert_log)
+
+    def on_tick(server: Any, now: float) -> None:
+        monitor_tick(manager, recorder, registry, now)
+
+    try:
+        arm = run_surge_arm(
+            fixtures["pipeline"], fixtures["events"], fixtures["pool"],
+            fixtures["truths"], seconds, on_tick=on_tick, keep_results=True,
+        )
+        # Monitoring keeps sampling after traffic stops: the fast/slow
+        # windows slide past the surge and the calm dwell elapses.
+        ticks = int(MONITOR_COOLDOWN_S / POLL_PERIOD_S) + 1
+        for k in range(1, ticks + 1):
+            monitor_tick(manager, recorder, registry,
+                         seconds + k * POLL_PERIOD_S)
+        coverage = _retention_coverage(
+            arm.pop("_results", []) or [], slow_latency_s,
+        )
+    finally:
+        tracer.configure(**previous)
+
+    timeline = manager.timeline()
+    page_fired = [e for e in timeline
+                  if e.severity == "page" and e.state == "firing"]
+    page_resolved = [e for e in timeline
+                     if e.severity == "page" and e.state == "resolved"]
+    first_fire_at = page_fired[0].at if page_fired else None
+    # "Within one fast window of fault onset", with one sample interval
+    # of slack for the discretized history.
+    fire_deadline = (surge_start_s + MONITOR_FAST_WINDOW_S
+                     + manager.history.min_interval_s + POLL_PERIOD_S)
+    gates = {
+        "page_fired": bool(page_fired),
+        "first_page_at": first_fire_at,
+        "surge_start_s": surge_start_s,
+        "fire_deadline_s": fire_deadline,
+        "page_fired_in_time": (first_fire_at is not None
+                               and first_fire_at <= fire_deadline),
+        "page_resolved": bool(page_resolved),
+        "retention_coverage": coverage["coverage"],
+        "retention_complete": coverage["coverage"] >= 1.0,
+        "bundle_written": bool(recorder.bundles),
+        "no_drops": arm["dropped"] == 0,
+    }
+    gates["ok"] = all(bool(gates[k]) for k in (
+        "page_fired", "page_fired_in_time", "page_resolved",
+        "retention_complete", "bundle_written", "no_drops",
+    ))
+    return {
+        "plan": plan,
+        "seed": seed,
+        "sessions": sessions,
+        "seconds": seconds,
+        "surge_scale": SURGE_SCALE,
+        "sample_rate": sample_rate,
+        "rules": [rule.to_dict() for rule in manager.rules],
+        "arm": arm,
+        "alerts": manager.stats(),
+        "timeline": [event.to_dict() for event in timeline],
+        "timeline_text": render_alert_timeline(timeline),
+        "retention": coverage,
+        "bundles": list(recorder.bundles),
+        "gates": gates,
+    }
+
+
 def run_adaptive_bench(
     seed: int = 0,
     sessions: int = 96,
     seconds: float = 12.0,
-    surge_scale: float = 8.0,
-    battery_fractions: tuple[float, ...] = (1.0, 0.15, 0.05),
-    load_scales: tuple[float, ...] = (1.0, 4.0, 8.0),
-    pipeline: AffectClassifierPipeline | None = None,
-    ladder: TierLadder | None = None,
 ) -> dict[str, object]:
     """The full bench: headline gates plus the load × battery frontier.
 
@@ -253,8 +398,7 @@ def run_adaptive_bench(
     - no windows dropped, no sessions lost, and the ladder recovered
       (promotions happened once the surge passed).
     """
-    if pipeline is None or ladder is None:
-        pipeline, ladder = build_default_ladder(seed=seed)
+    pipeline, ladder = build_default_ladder(seed=seed)
     clf = pipeline.classifier
     assert clf is not None
     pool, truths = make_pool(clf.label_names, POOL_SIZE, seed)
@@ -267,10 +411,10 @@ def run_adaptive_bench(
                              adaptive=controller)
 
     headline_events = make_surge_events(
-        sessions, seconds, seed, POOL_SIZE, surge_scale
+        sessions, seconds, seed, POOL_SIZE, SURGE_SCALE
     )
     baseline = run_surge_arm(pipeline, headline_events, pool, truths, seconds)
-    adaptive = arm(surge_scale, None)
+    adaptive = arm(SURGE_SCALE, None)
 
     neutral_accuracy = float(quality["neutral_accuracy"])  # type: ignore[arg-type]
     p95 = float(adaptive["latency_s"]["p95"])  # type: ignore[index]
@@ -304,14 +448,14 @@ def run_adaptive_bench(
     # The frontier: how accuracy, throughput, and energy trade as load
     # rises and the battery budget falls.
     frontier: list[dict[str, object]] = []
-    for scale in load_scales:
-        cell = adaptive if scale == surge_scale else arm(scale, None)
+    for scale in LOAD_SCALES:
+        cell = adaptive if scale == SURGE_SCALE else arm(scale, None)
         frontier.append(_frontier_row(cell, scale, battery_fraction=1.0))
-    for fraction in battery_fractions:
+    for fraction in BATTERY_FRACTIONS:
         if fraction == 1.0:
             continue  # full battery at headline load == the gates cell
         frontier.append(_frontier_row(
-            arm(surge_scale, fraction), surge_scale, battery_fraction=fraction,
+            arm(SURGE_SCALE, fraction), SURGE_SCALE, battery_fraction=fraction,
         ))
 
     return {
@@ -319,15 +463,15 @@ def run_adaptive_bench(
             "seed": seed,
             "sessions": sessions,
             "seconds": seconds,
-            "surge_scale": surge_scale,
+            "surge_scale": SURGE_SCALE,
             "pool_size": POOL_SIZE,
             "cache_capacity": CACHE_CAPACITY,
             "max_batch": MAX_BATCH,
             "max_queue": MAX_QUEUE,
             "max_wait_s": MAX_WAIT_S,
             "battery_capacity": BATTERY_CAPACITY,
-            "battery_fractions": list(battery_fractions),
-            "load_scales": list(load_scales),
+            "battery_fractions": list(BATTERY_FRACTIONS),
+            "load_scales": list(LOAD_SCALES),
             "ladder": list(ladder.names),
         },
         "quality": quality,

@@ -19,18 +19,22 @@ from __future__ import annotations
 
 import re
 import time
+from typing import Any
 
 import numpy as np
 
 from repro.affect.pipeline import AffectClassifierPipeline
 from repro.obs import get_registry, get_tracer
-from repro.obs.trace import Span
+from repro.obs.prof import HeapProfiler, StackSampler
+from repro.obs.trace import Span, pop_thread_stage, push_thread_stage
 from repro.serve.runtime import AffectServer, ServeConfig
 
 #: Virtual seconds between one session's consecutive windows.
 WINDOW_PERIOD_S = 0.5
 #: Distinct utterances the synthetic traffic draws from.
 POOL_SIZE = 24
+#: Batch deadline of the bench's server (workload seconds).
+MAX_WAIT_S = 0.25
 
 
 def train_bench_pipeline(seed: int = 0,
@@ -182,12 +186,9 @@ def run_serve_bench(
     seconds: float = 4.0,
     seed: int = 0,
     max_batch: int = 32,
-    max_wait_s: float = 0.25,
-    pool_size: int = POOL_SIZE,
     pipeline: AffectClassifierPipeline | None = None,
     baseline: bool = True,
     parity: bool = True,
-    quantized: bool = True,
     on_tick=None,
 ) -> dict[str, object]:
     """Drive one serving configuration; returns a JSON-able report.
@@ -205,17 +206,16 @@ def run_serve_bench(
         pipeline = train_bench_pipeline(seed=seed)
     clf = pipeline.classifier
     assert clf is not None
-    pool, _ = make_pool(clf.label_names, pool_size, seed)
-    schedule = _make_schedule(sessions, seconds, seed, pool_size)
+    pool, _ = make_pool(clf.label_names, POOL_SIZE, seed)
+    schedule = _make_schedule(sessions, seconds, seed, POOL_SIZE)
     parity_report = check_parity(pipeline, pool) if parity else None
 
     config = ServeConfig(
         max_batch=max_batch,
-        max_wait_s=max_wait_s,
+        max_wait_s=MAX_WAIT_S,
         max_queue=max(max_batch * 8, 256),
         idle_ttl_s=max(seconds, 10.0),
         stale_ttl_s=None,
-        quantized=quantized,
     )
     server = AffectServer(pipeline, config)
     results = []
@@ -225,7 +225,7 @@ def run_serve_bench(
         if on_tick is not None:
             on_tick(server, now)
         results.extend(server.submit(session_id, pool[pool_index], now))
-    results.extend(server.drain(seconds + max_wait_s))
+    results.extend(server.drain(seconds + MAX_WAIT_S))
     wall_s = time.perf_counter() - start
 
     windows = len(schedule)
@@ -237,10 +237,10 @@ def run_serve_bench(
             "seconds": seconds,
             "seed": seed,
             "max_batch": max_batch,
-            "max_wait_s": max_wait_s,
-            "pool_size": pool_size,
+            "max_wait_s": MAX_WAIT_S,
+            "pool_size": POOL_SIZE,
             "window_period_s": WINDOW_PERIOD_S,
-            "quantized": quantized,
+            "quantized": config.quantized,
         },
         "served": {
             "windows": windows,
@@ -309,6 +309,62 @@ def run_trace_workload(
         tracer.configure(**previous)
 
 
+def run_profile_workload(
+    sessions: int = 16,
+    seconds: float = 4.0,
+    seed: int = 0,
+    max_batch: int = 32,
+    heap: bool = True,
+) -> dict[str, Any]:
+    """The traced workload under the profiler — what ``repro profile`` runs.
+
+    :func:`run_trace_workload` at full tracing, so every window's stage
+    scopes feed the attribution table; the schedule loop itself runs
+    under a ``serve.bench`` driver stage, so driver time between submits
+    is attributed rather than dark.  Returns the bench report plus
+    profile and heap sections and the acceptance figure
+    ``attribution['fraction']`` (the CLI gates it at ≥0.90).
+    """
+    pipeline = train_bench_pipeline(seed=seed)
+    registry = get_registry()
+    registry.reset()
+    heap_profiler = HeapProfiler(registry=registry).start() if heap else None
+    sampler = StackSampler(registry=registry, heap=heap_profiler).start()
+    push_thread_stage("serve.bench")
+    try:
+        report, spans = run_trace_workload(sessions, seconds, seed,
+                                           max_batch, pipeline=pipeline)
+    finally:
+        pop_thread_stage()
+        sampler.stop()
+        heap_report = None
+        if heap_profiler is not None:
+            heap_profiler.sample()
+            heap_report = heap_profiler.report()
+            heap_profiler.stop()
+    stats = sampler.stats()
+    return {
+        "workload": {
+            "sessions": sessions,
+            "seconds": seconds,
+            "seed": seed,
+            "max_batch": max_batch,
+            "windows_per_s": report["served"].get("windows_per_s"),
+            "wall_s": report["served"].get("wall_s"),
+        },
+        "profile": stats,
+        "heap": heap_report,
+        "attribution": {
+            "fraction": stats["attributed_fraction"],
+            "samples": stats["samples"],
+            "stages": stats["stage_samples"],
+        },
+        "_sampler": sampler,
+        "_heap": heap_profiler,
+        "_spans": spans,
+    }
+
+
 def serve_chain_coverage(spans: list[Span]) -> dict[str, object]:
     """How many completed windows carry a full, consistent span chain.
 
@@ -355,61 +411,6 @@ def serve_chain_coverage(spans: list[Span]) -> dict[str, object]:
         "windows": windows,
         "covered": covered,
         "coverage": covered / windows if windows else 1.0,
-    }
-
-
-def measure_trace_overhead(
-    pipeline: AffectClassifierPipeline,
-    sessions: int = 16,
-    seconds: float = 4.0,
-    seed: int = 0,
-    max_batch: int = 32,
-    repeats: int = 12,
-) -> dict[str, float]:
-    """Wall-clock cost of tracing: identical runs, sampling 1.0 vs 0.0.
-
-    The arms are *interleaved* (off, on, off, on, ...) and each reports
-    its best-of-``repeats`` wall time.  A single back-to-back pair would
-    confound tracing cost with machine drift — on a busy host the
-    run-to-run spread of this ~100ms workload is several times the
-    effect being measured; interleaving exposes both arms to the same
-    drift phases and the min filters the additive noise, which is what
-    makes the number reproducible.  One unmeasured warmup pair primes
-    caches and the allocator.  The acceptance bound for the 16-session
-    config is ``overhead_frac < 0.02``.
-    """
-    tracer = get_tracer()
-    previous = tracer.configure(sample_rate=0.0)
-
-    def one_run(rate: float) -> float:
-        tracer.configure(sample_rate=rate)
-        tracer.clear()
-        report = run_serve_bench(
-            sessions=sessions, seconds=seconds, seed=seed,
-            max_batch=max_batch, pipeline=pipeline, baseline=False,
-            parity=False,
-        )
-        return float(report["served"]["wall_s"])  # type: ignore[index]
-
-    try:
-        one_run(0.0)
-        one_run(1.0)
-        off_wall_s = float("inf")
-        on_wall_s = float("inf")
-        for _ in range(repeats):
-            off_wall_s = min(off_wall_s, one_run(0.0))
-            on_wall_s = min(on_wall_s, one_run(1.0))
-    finally:
-        tracer.configure(**previous)
-        tracer.clear()
-    overhead = on_wall_s / off_wall_s - 1.0 if off_wall_s > 0 else 0.0
-    return {
-        "sessions": sessions,
-        "seconds": seconds,
-        "repeats": repeats,
-        "tracing_off_wall_s": off_wall_s,
-        "tracing_on_wall_s": on_wall_s,
-        "overhead_frac": overhead,
     }
 
 

@@ -428,7 +428,7 @@ class TestInstrumentationHooks:
 class TestCannedWorkload:
     @pytest.mark.slow
     def test_workload_covers_all_layers(self):
-        from repro.obs.workload import run_canned_workload
+        from repro.bench import run_canned_workload
 
         reg = get_registry()
         reg.reset()
