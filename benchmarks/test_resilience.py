@@ -25,7 +25,8 @@ from benchmarks.conftest import report
 
 from repro.bench import PAIRS, paired_overhead, paired_walls
 from repro.obs import get_registry
-from repro.resilience.chaos import run_chaos_workload, run_surge_workload
+from repro.resilience.chaos import run_chaos_workload
+from repro.serve.adaptive_bench import run_surge_workload
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_resilience.json"

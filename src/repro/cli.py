@@ -205,7 +205,7 @@ def _chaos(args: argparse.Namespace) -> None:
     registry = get_registry()
     registry.reset()
     if args.plan in ("surge", "battery-drain"):
-        from repro.resilience.chaos import run_surge_workload
+        from repro.serve.adaptive_bench import run_surge_workload
 
         stats = run_surge_workload(
             seed=args.seed, sessions=args.sessions,

@@ -186,11 +186,12 @@ def window_frame(seq: int, signal: np.ndarray) -> dict:
     return {"type": "window", "seq": seq, "signal": encode_signal(signal)}
 
 
-def result_frame(result: "ServeResult") -> dict:
-    """One :class:`~repro.serve.runtime.ServeResult` as its reply frame."""
+def result_frame(result: "ServeResult", seq: int) -> dict:
+    """One :class:`~repro.serve.runtime.ServeResult` as the reply frame
+    to the client's window ``seq``."""
     return {
         "type": "result",
-        "seq": result.seq,
+        "seq": seq,
         "outcome": result.outcome,
         "label": result.label,
         "emotion": result.emotion,

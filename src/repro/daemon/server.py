@@ -19,11 +19,9 @@ Architecture — one event loop, one worker thread, one clock:
   Windows do not hop there one by one: the ingest path queues each
   window, and one pump task submits everything queued in a single
   executor call, in arrival order (:meth:`ReproDaemon._pump`).  One
-  worker is a feature, not a limit: it serialises server calls, and
-  the worker hands each submit's results back to the loop in order
-  (``call_soon_threadsafe`` callbacks run FIFO), so per-session results
-  are dispatched in submission order — the invariant the seq-matching
-  in :meth:`ReproDaemon._dispatch` relies on.
+  worker is a feature, not a limit: it serialises server calls.  Each
+  window is submitted with its reply tag, ``(connection, client seq)``,
+  and :meth:`ReproDaemon._dispatch` sends every result to its own tag.
 - **One BLAS thread.**  While it serves, the daemon pins numpy's
   OpenBLAS pool to one thread (:mod:`repro.daemon.blas`): at flush
   sizes a second thread buys no speed and doubles the CPU per window.
@@ -37,7 +35,7 @@ Architecture — one event loop, one worker thread, one clock:
   abrupt reset, preemption — evicts the session through
   :meth:`~repro.serve.sessions.SessionManager.evict`; its windows still
   queued are never submitted, and results still in flight for it
-  complete against a detached stand-in; both are counted
+  complete against the evicted session; both are counted
   ``daemon.replies.unroutable``, never resurrecting state.
 - **Monitoring.**  The poll loop drives the same
   :func:`~repro.obs.monitor.make_monitor` stack as ``repro monitor``:
@@ -119,12 +117,8 @@ class _Connection:
         self.session_id = session_id
         self.opened_at = opened_at
         self.last_active = opened_at
-        #: Client seqs of windows queued or inside the batcher, arrival
-        #: order.  Per-session completions come back in that order
-        #: (arrival-order hops, single executor worker, in-order batch
-        #: flushes), so a FIFO pop maps each completed result back to
-        #: the client's own seq.
-        self.pending: deque[int] = deque()
+        #: Windows queued or inside the batcher: the in-flight gate's count.
+        self.pending = 0
         self.windows = 0
         self.shed = 0
         #: The teardown reason once the connection is closing.
@@ -373,10 +367,10 @@ class ReproDaemon:
         conn.windows += 1
         if self._stopping:
             self._shed(conn, seq, gate="shutdown")
-        elif len(conn.pending) >= self.config.max_inflight:
+        elif conn.pending >= self.config.max_inflight:
             self._shed(conn, seq, gate="inflight")
         else:
-            conn.pending.append(seq)
+            conn.pending += 1
             self._queue.append((conn, seq, signal, now))
             self._wake.set()
 
@@ -392,12 +386,12 @@ class ReproDaemon:
         session = self.server.sessions.peek(conn.session_id)
         label = (session.fallback_label if session is not None
                  else self.server.neutral_label)
-        self._send(conn, {
-            "type": "result", "seq": seq, "outcome": "shed",
-            "label": label, "emotion": None, "mode": None,
-            "shed": True, "degraded": True, "cached": False,
-            "tier": None, "latency_s": 0.0,
-        })
+        now = self.now()
+        self._send(conn, protocol.result_frame(ServeResult(
+            session_id=conn.session_id, label=label, emotion=None, mode=None,
+            submitted_at=now, completed_at=now, shed=True, degraded=True,
+            outcome="shed",
+        ), seq))
 
     # -- the bridge: one executor hop per batch of ready windows -----------
 
@@ -456,7 +450,8 @@ class ReproDaemon:
                 loop.call_soon_threadsafe(self._unroutable)
                 continue
             try:
-                results = self.server.submit(conn.session_id, signal, now)
+                results = self.server.submit(conn.session_id, signal, now,
+                                             (conn, seq))
             except Exception:
                 # The pump serves every connection: one bad submit must
                 # not stop it.
@@ -465,14 +460,11 @@ class ReproDaemon:
                 loop.call_soon_threadsafe(self._submit_failed, conn, seq)
                 continue
             if results:
-                loop.call_soon_threadsafe(self._dispatch, results, conn, seq)
+                loop.call_soon_threadsafe(self._dispatch, results)
 
     def _submit_failed(self, conn: _Connection, seq: int) -> None:
         get_registry().inc("daemon.submit_errors")
-        try:
-            conn.pending.remove(seq)
-        except ValueError:
-            pass
+        conn.pending -= 1
         self._shed(conn, seq, gate="error")
 
     # -- admission / preemption --------------------------------------------
@@ -512,10 +504,10 @@ class ReproDaemon:
         if self._routes.get(conn.session_id) is conn:
             del self._routes[conn.session_id]
         # Reap, don't leak: the session dies with its connection.  Any
-        # in-flight window completes against a detached stand-in (see
-        # AffectServer._finish) and is counted unroutable here.  While
-        # the worker may still be submitting this connection's windows,
-        # the pump evicts once the hop is back instead.
+        # in-flight window completes against the evicted session (see
+        # AffectServer._finish) and its reply is counted unroutable.
+        # While the worker may still be submitting this connection's
+        # windows, the pump evicts once the hop is back instead.
         if conn not in self._hop_conns:
             self._evict(conn)
         self._close_writer(conn.writer)
@@ -531,38 +523,15 @@ class ReproDaemon:
 
     # -- replies -----------------------------------------------------------
 
-    def _dispatch(self, results: list[ServeResult],
-                  immediate_conn: _Connection | None = None,
-                  immediate_seq: int | None = None) -> None:
-        """Route served results back to their connections, re-seq'd.
-
-        Runs synchronously (no awaits), once per server call and in
-        server-call order, so the per-session FIFO pops happen in
-        submission order.  A result whose outcome is not
-        ``"completed"`` was answered inline by the submit call itself
-        and therefore belongs to ``immediate_conn``/``immediate_seq``;
-        completed results are flushes of pending windows and map to the
-        connection's FIFO head.
-        """
+    def _dispatch(self, results: list[ServeResult]) -> None:
+        """Send each result to the connection and seq of its reply tag."""
         for result in results:
-            immediate = (result.outcome != "completed"
-                         and immediate_conn is not None)
-            conn = (immediate_conn if immediate
-                    else self._routes.get(result.session_id))
-            if conn is None or conn.closing or not (immediate or conn.pending):
+            conn, seq = result.tag
+            conn.pending -= 1
+            if conn.closing:
                 self._unroutable()
                 continue
-            if immediate:
-                client_seq = immediate_seq
-                try:
-                    conn.pending.remove(immediate_seq)
-                except ValueError:
-                    pass
-            else:
-                client_seq = conn.pending.popleft()
-            frame = protocol.result_frame(result)
-            frame["seq"] = client_seq
-            self._send(conn, frame)
+            self._send(conn, protocol.result_frame(result, seq))
 
     def _unroutable(self, n: int = 1) -> None:
         """Count replies (or windows) no live connection can receive."""

@@ -12,12 +12,9 @@ With ``resilience=False`` the same work runs bare (no breaker, no retry,
 no concealment); stage failures are caught at the stage boundary and
 counted as crashes — the comparison that justifies the wrappers.
 
-:func:`run_surge_workload` is the serving-side chaos plan
-(``repro chaos --plan surge`` / ``--plan battery-drain``): instead of
-injected faults it throws the diurnal load surge from
-:mod:`repro.datasets.phone_usage` (or a near-empty battery) at the serve
-runtime, with and without the adaptive tier ladder, and reports whether
-degradation absorbed what the binary runtime shed.
+The serving-side chaos plans (``repro chaos --plan surge`` /
+``--plan battery-drain``) live beside the surge bench they drive, in
+:func:`repro.serve.adaptive_bench.run_surge_workload`.
 """
 
 from __future__ import annotations
@@ -267,126 +264,4 @@ def run_chaos_workload(
             "mean_psnr_db": psnr_sum / psnr_n if psnr_n else 0.0,
         },
         "emulator": emu_stats,
-    }
-
-
-#: Serve-layer chaos plans both ``repro chaos`` and ``repro monitor`` run.
-SURGE_PLANS = ("surge", "battery-drain")
-
-
-def surge_plan_fixtures(
-    seed: int = 0,
-    sessions: int = 96,
-    seconds: float = 12.0,
-    plan: str = "surge",
-) -> dict[str, object]:
-    """Everything one surge chaos plan needs: pipeline, pool, events.
-
-    Shared between :func:`run_surge_workload` (the A/B chaos run) and
-    ``repro monitor`` (the alerting/flight-recorder run), so both
-    observe the *identical* fault: same trained pipeline, same truth
-    pool, same arrival schedule.  ``battery_fraction`` is the initial
-    per-session charge the plan mandates (``None`` disables the battery
-    axis).
-    """
-    if plan not in SURGE_PLANS:
-        raise ValueError(f"unknown surge plan {plan!r}")
-    # Serve imports stay lazy: resilience is a dependency of the serve
-    # package, so importing it back at module level would be a cycle.
-    from repro.serve.adaptive_bench import POOL_SIZE, SURGE_SCALE, make_surge_events
-    from repro.serve.bench import make_pool, train_bench_pipeline
-
-    pipeline = train_bench_pipeline(seed=seed)
-    clf = pipeline.classifier
-    assert clf is not None
-    pool, truths = make_pool(clf.label_names, POOL_SIZE, seed)
-    events = make_surge_events(sessions, seconds, seed, POOL_SIZE, SURGE_SCALE)
-    return {
-        "pipeline": pipeline,
-        "pool": pool,
-        "truths": truths,
-        "events": events,
-        "battery_fraction": 0.05 if plan == "battery-drain" else None,
-        "surge_start_s": 0.3 * seconds,
-        "surge_end_s": 0.7 * seconds,
-    }
-
-
-def run_surge_workload(
-    seed: int = 0,
-    sessions: int = 96,
-    seconds: float = 12.0,
-    plan: str = "surge",
-) -> dict[str, object]:
-    """Serve-layer chaos: a diurnal load surge (or battery drain) A/B.
-
-    Runs the *identical* surge schedule through the binary (shed-only)
-    runtime and the adaptive tier ladder.  ``plan="battery-drain"``
-    additionally starts every session at 5% charge, so the battery
-    ceilings — not the queue — drive the degradation.  The contract
-    mirrors :func:`run_chaos_workload`'s: zero unhandled exceptions, no
-    dropped windows, no lost sessions, and the ladder must both absorb
-    the surge (shed fraction strictly below the baseline's) and recover
-    after it (promotions back up the ladder).
-
-    Uses the fast single-architecture ladder
-    (:func:`~repro.serve.adaptive.ladder_from_pipeline`); the full
-    two-architecture ladder lives in ``repro adaptive-bench``.
-    """
-    from repro.serve.adaptive import AdaptiveController, ladder_from_pipeline
-    from repro.serve.adaptive_bench import SURGE_SCALE, bench_adaptive_config, run_surge_arm
-
-    fixtures = surge_plan_fixtures(seed, sessions, seconds, plan)
-    pipeline = fixtures["pipeline"]
-    ladder = ladder_from_pipeline(pipeline)
-    pool = fixtures["pool"]
-    truths = fixtures["truths"]
-    events = fixtures["events"]
-
-    baseline = run_surge_arm(pipeline, events, pool, truths, seconds)
-    battery = fixtures["battery_fraction"]
-    controller = AdaptiveController(ladder, bench_adaptive_config(battery))
-    adaptive = run_surge_arm(pipeline, events, pool, truths, seconds,
-                             adaptive=controller)
-
-    if plan == "surge":
-        # Recovery: once the surge passed, sessions climbed back up.
-        plan_ok = adaptive["adaptive"]["promotions"] > 0  # type: ignore[index]
-    else:
-        # Budget: total drain can never exceed the fleet's 5% charge
-        # (model windows stop drawing once a battery empties; only the
-        # accounting-free baseline arm is unconstrained).
-        from repro.serve.adaptive_bench import BATTERY_CAPACITY
-
-        budget = sessions * BATTERY_CAPACITY * 0.05
-        plan_ok = (
-            float(adaptive["adaptive"]["energy_drained"])  # type: ignore[index]
-            <= budget + 1e-9
-        )
-    shed_ok = (
-        adaptive["shed"] == 0
-        or adaptive["shed_frac"] < baseline["shed_frac"]  # type: ignore[operator]
-    )
-    survived = (
-        baseline["dropped"] == 0
-        and adaptive["dropped"] == 0
-        and adaptive["sessions_evicted"] == 0
-        and shed_ok
-        and plan_ok
-    )
-    return {
-        "plan": plan,
-        "seed": seed,
-        "sessions": sessions,
-        "seconds": seconds,
-        "surge_scale": SURGE_SCALE,
-        "windows": len(events),
-        "ladder": list(ladder.names),
-        "baseline": baseline,
-        "adaptive": adaptive,
-        "shed_reduction": (
-            float(baseline["shed_frac"]) - float(adaptive["shed_frac"])  # type: ignore[arg-type]
-        ),
-        "survived": survived,
-        "crashes": 0,  # any unhandled exception aborts the run itself
     }

@@ -33,14 +33,14 @@ from repro.obs.alerts import render_alert_timeline
 from repro.obs.monitor import MONITOR_FAST_WINDOW_S, make_monitor, monitor_tick
 from repro.obs.slo import DEFAULT_SLOS
 from repro.obs.trace import RetentionPolicy
-from repro.resilience.chaos import surge_plan_fixtures
 from repro.serve.adaptive import (
     AdaptiveConfig,
     AdaptiveController,
     TierLadder,
     build_default_ladder,
+    ladder_from_pipeline,
 )
-from repro.serve.bench import _quantiles, make_pool
+from repro.serve.bench import _quantiles, make_pool, train_bench_pipeline
 from repro.serve.runtime import AffectServer, ServeConfig
 
 #: Distinct utterances in the surge pool — deliberately larger than the
@@ -243,6 +243,118 @@ def run_surge_arm(
     return arm
 
 
+#: Serve-layer chaos plans both ``repro chaos`` and ``repro monitor`` run.
+SURGE_PLANS = ("surge", "battery-drain")
+
+
+def surge_plan_fixtures(
+    seed: int = 0,
+    sessions: int = 96,
+    seconds: float = 12.0,
+    plan: str = "surge",
+) -> dict[str, object]:
+    """Everything one surge chaos plan needs: pipeline, pool, events.
+
+    Shared between :func:`run_surge_workload` (the A/B chaos run) and
+    ``repro monitor`` (the alerting/flight-recorder run), so both
+    observe the *identical* fault: same trained pipeline, same truth
+    pool, same arrival schedule.  ``battery_fraction`` is the initial
+    per-session charge the plan mandates (``None`` disables the battery
+    axis).
+    """
+    if plan not in SURGE_PLANS:
+        raise ValueError(f"unknown surge plan {plan!r}")
+    pipeline = train_bench_pipeline(seed=seed)
+    clf = pipeline.classifier
+    assert clf is not None
+    pool, truths = make_pool(clf.label_names, POOL_SIZE, seed)
+    events = make_surge_events(sessions, seconds, seed, POOL_SIZE, SURGE_SCALE)
+    return {
+        "pipeline": pipeline,
+        "pool": pool,
+        "truths": truths,
+        "events": events,
+        "battery_fraction": 0.05 if plan == "battery-drain" else None,
+        "surge_start_s": 0.3 * seconds,
+        "surge_end_s": 0.7 * seconds,
+    }
+
+
+def run_surge_workload(
+    seed: int = 0,
+    sessions: int = 96,
+    seconds: float = 12.0,
+    plan: str = "surge",
+) -> dict[str, object]:
+    """Serve-layer chaos: a diurnal load surge (or battery drain) A/B.
+
+    Runs the *identical* surge schedule through the binary (shed-only)
+    runtime and the adaptive tier ladder.  ``plan="battery-drain"``
+    additionally starts every session at 5% charge, so the battery
+    ceilings — not the queue — drive the degradation.  The contract
+    mirrors :func:`~repro.resilience.chaos.run_chaos_workload`'s: zero
+    unhandled exceptions, no dropped windows, no lost sessions, and the
+    ladder must both absorb the surge (shed fraction strictly below the
+    baseline's) and recover after it (promotions back up the ladder).
+
+    Uses the fast single-architecture ladder
+    (:func:`~repro.serve.adaptive.ladder_from_pipeline`); the full
+    two-architecture ladder lives in ``repro adaptive-bench``.
+    """
+    fixtures = surge_plan_fixtures(seed, sessions, seconds, plan)
+    pipeline = fixtures["pipeline"]
+    ladder = ladder_from_pipeline(pipeline)
+    pool = fixtures["pool"]
+    truths = fixtures["truths"]
+    events = fixtures["events"]
+
+    baseline = run_surge_arm(pipeline, events, pool, truths, seconds)
+    battery = fixtures["battery_fraction"]
+    controller = AdaptiveController(ladder, bench_adaptive_config(battery))
+    adaptive = run_surge_arm(pipeline, events, pool, truths, seconds,
+                             adaptive=controller)
+
+    if plan == "surge":
+        # Recovery: once the surge passed, sessions climbed back up.
+        plan_ok = adaptive["adaptive"]["promotions"] > 0  # type: ignore[index]
+    else:
+        # Budget: total drain can never exceed the fleet's 5% charge
+        # (model windows stop drawing once a battery empties; only the
+        # accounting-free baseline arm is unconstrained).
+        budget = sessions * BATTERY_CAPACITY * 0.05
+        plan_ok = (
+            float(adaptive["adaptive"]["energy_drained"])  # type: ignore[index]
+            <= budget + 1e-9
+        )
+    shed_ok = (
+        adaptive["shed"] == 0
+        or adaptive["shed_frac"] < baseline["shed_frac"]  # type: ignore[operator]
+    )
+    survived = (
+        baseline["dropped"] == 0
+        and adaptive["dropped"] == 0
+        and adaptive["sessions_evicted"] == 0
+        and shed_ok
+        and plan_ok
+    )
+    return {
+        "plan": plan,
+        "seed": seed,
+        "sessions": sessions,
+        "seconds": seconds,
+        "surge_scale": SURGE_SCALE,
+        "windows": len(events),
+        "ladder": list(ladder.names),
+        "baseline": baseline,
+        "adaptive": adaptive,
+        "shed_reduction": (
+            float(baseline["shed_frac"]) - float(adaptive["shed_frac"])  # type: ignore[arg-type]
+        ),
+        "survived": survived,
+        "crashes": 0,  # any unhandled exception aborts the run itself
+    }
+
+
 def _retention_coverage(
     results: list[Any],
     slow_latency_s: float,
@@ -290,7 +402,7 @@ def run_monitored_surge(
     """The surge chaos plan under full monitoring; returns report + gates.
 
     ``repro monitor`` runs the **baseline** (shed-only) arm of
-    :func:`repro.resilience.chaos.surge_plan_fixtures`, the arm where the
+    :func:`surge_plan_fixtures`, the arm where the
     8x surge is lethal, with the :func:`~repro.obs.monitor.make_monitor`
     stack ticked on every poll and tail retention under aggressive head
     sampling (default 0.01), so the retained ring holds *every*

@@ -39,6 +39,7 @@ from repro.errors import CircuitOpenError
 from repro.obs import get_registry, labeled
 from repro.obs.trace import Span, TraceContext, get_tracer
 from repro.resilience import CircuitBreaker
+from repro.serve.sessions import Session
 
 _STAGE_PREDICT = labeled("serve.stage_s", stage="predict")
 _STAGE_DSP = labeled("serve.stage_s", stage="dsp")
@@ -57,6 +58,10 @@ class BatchRequest:
     fan-in: the runtime opens both at submit, the flush links the shared
     batch trace to every member, and the runtime closes them when the
     result fans back out.  ``None`` when tracing is off or unsampled.
+
+    ``session`` and ``tag`` are where the result goes: the
+    :class:`~repro.serve.sessions.Session` the window was submitted
+    under, and the caller's reply tag.
     """
 
     session_id: str
@@ -73,6 +78,8 @@ class BatchRequest:
     #: the same window served to a full-tier and a degraded-tier session
     #: runs through both models.
     tier: str | None = None
+    session: Session | None = None
+    tag: object = None
 
 
 @dataclass

@@ -71,7 +71,7 @@ class ServeResult:
     session_id: str
     label: str
     emotion: str | None
-    mode: str
+    mode: str | None
     submitted_at: float
     completed_at: float
     shed: bool = False
@@ -87,6 +87,9 @@ class ServeResult:
     #: or ``"shed"`` (admission refused it; degraded fallback answer).
     outcome: str = "completed"
     seq: int = field(default=-1, repr=False)
+    #: The reply address the caller passed to :meth:`AffectServer.submit`
+    #: with this window, handed back unchanged.
+    tag: object = field(default=None, repr=False)
 
     @property
     def latency_s(self) -> float:
@@ -102,7 +105,9 @@ class AffectServer:
     or a flush-on-full), :meth:`poll` as workload time advances (deadline
     flushes and idle-session eviction), and :meth:`drain` to force out
     everything pending, e.g. at shutdown.  Every submitted window yields
-    exactly one :class:`ServeResult` across those calls.
+    exactly one :class:`ServeResult` across those calls, carrying the
+    ``tag`` it was submitted with and delivered to the session it was
+    submitted under.
     """
 
     def __init__(
@@ -167,13 +172,14 @@ class AffectServer:
 
     # -- ingest ------------------------------------------------------------
 
-    def submit(self, session_id: str, signal: np.ndarray,
-               now: float) -> list[ServeResult]:
+    def submit(self, session_id: str, signal: np.ndarray, now: float,
+               tag: object = None) -> list[ServeResult]:
         """Accept one raw window from ``session_id`` at workload time ``now``.
 
         Returns the results this call completed: ``[]`` when the window
         joined the pending batch, one cache-hit/shed result for this
         window, or a whole batch worth when it triggered flush-on-full.
+        The window's result carries ``tag``, whichever call returns it.
         """
         obs = get_registry()
         tracer = get_tracer()
@@ -223,7 +229,7 @@ class AffectServer:
                         mode=session.manager.decoder_mode(now).value,
                         submitted_at=now, completed_at=now,
                         degraded=not cached, cached=cached,
-                        tier=tier.name, outcome="absorbed", seq=seq,
+                        tier=tier.name, outcome="absorbed", seq=seq, tag=tag,
                     )]
 
             if self.batcher.depth >= self.config.max_queue:
@@ -248,6 +254,7 @@ class AffectServer:
                     submitted_at=now, completed_at=now,
                     shed=True, degraded=True,
                     tier=self._terminal_tier, outcome="shed", seq=seq,
+                    tag=tag,
                 )]
 
             key = window_hash(signal)
@@ -273,7 +280,7 @@ class AffectServer:
                     mode=session.manager.decoder_mode(now).value,
                     submitted_at=now, completed_at=now,
                     cached=True, tier=tier.name if tier else None,
-                    outcome="cached", seq=seq,
+                    outcome="cached", seq=seq, tag=tag,
                 )]
             features = None
             if isinstance(entry, CacheEntry) and entry.features is not None:
@@ -286,7 +293,7 @@ class AffectServer:
                 self.cache.put(key, CacheEntry())
             request = BatchRequest(
                 session_id=session_id, key=key,
-                submitted_at=now, seq=seq,
+                submitted_at=now, seq=seq, session=session, tag=tag,
                 features=features,
                 signal=None if features is not None else signal,
                 tier=tier.name if tier is not None else None,
@@ -344,15 +351,12 @@ class AffectServer:
             request = outcome.request
             root = request.root_span
             batch_span = request.batch_span
-            session = self.sessions.peek(request.session_id)
-            if session is None:
+            session = request.session
+            if self.sessions.peek(request.session_id) is not session:
                 # The session was evicted or preempted while this window
-                # was in flight.  Deliver to a detached stand-in: the
-                # result stays well-formed (and accounted), but nothing
-                # here may resurrect table state the eviction dropped.
-                session = self.sessions.detached(
-                    request.session_id, outcome.flushed_at
-                )
+                # was in flight.  It is still answered for its own
+                # session, which is out of the table, so nothing here
+                # resurrects it or touches a successor under the same id.
                 obs.inc("serve.orphaned_results")
             entry = self.cache.peek(request.key)
             if isinstance(entry, CacheEntry) and entry.features is None:
@@ -419,6 +423,7 @@ class AffectServer:
                 submitted_at=request.submitted_at,
                 completed_at=outcome.flushed_at,
                 degraded=degraded, tier=request.tier, seq=request.seq,
+                tag=request.tag,
             ))
         return results
 

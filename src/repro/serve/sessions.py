@@ -19,12 +19,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.controller import AffectDrivenSystemManager
 from repro.errors import SessionEvictedError
 from repro.hw.power import DeviceBattery
 from repro.obs import get_registry, labeled
+
+#: Hard cap on the session table; creating one more evicts the least
+#: recently active session.
+MAX_SESSIONS = 4096
 
 
 @dataclass
@@ -90,33 +93,23 @@ class SessionManager:
     idle_ttl_s:
         Sessions inactive longer than this are dropped by
         :meth:`evict_idle` (workload time).
-    max_sessions:
-        Hard cap; creating one more evicts the least recently active.
     stale_ttl_s:
         Freshness horizon handed to each session's system manager.
-    manager_factory:
-        Builds the per-session controller (tests inject custom policies).
+
+    The table holds at most :data:`MAX_SESSIONS` sessions.
     """
 
     def __init__(
         self,
         idle_ttl_s: float = 30.0,
-        max_sessions: int = 4096,
         stale_ttl_s: float | None = 5.0,
         neutral_label: str = "neutral",
-        manager_factory: Callable[[], AffectDrivenSystemManager] | None = None,
     ) -> None:
         if idle_ttl_s <= 0:
             raise ValueError("idle_ttl_s must be positive")
-        if max_sessions < 1:
-            raise ValueError("max_sessions must be >= 1")
         self.idle_ttl_s = idle_ttl_s
-        self.max_sessions = max_sessions
         self.stale_ttl_s = stale_ttl_s
         self.neutral_label = neutral_label
-        self._manager_factory = manager_factory or (
-            lambda: AffectDrivenSystemManager(stale_ttl_s=self.stale_ttl_s)
-        )
         self.created = 0
         self.evicted_idle = 0
         self.evicted_lru = 0
@@ -151,28 +144,13 @@ class SessionManager:
     def peek(self, session_id: str) -> Session | None:
         """The live session without touching recency, or ``None``.
 
-        This is the fan-out path's lookup: completion of an in-flight
+        This is the fan-out path's check: completion of an in-flight
         window must *observe* the table, never mutate it, so a session
         evicted (or preempted by the daemon) while its window was in
         flight stays evicted.
         """
         with self._lock:
             return self._sessions.get(session_id)
-
-    def detached(self, session_id: str, now: float) -> Session:
-        """A throwaway session that is **not** registered in the table.
-
-        Used to deliver results whose session was evicted mid-flight:
-        the caller still gets a well-formed result (neutral fallback,
-        default decoder mode) without resurrecting any table state.
-        """
-        return Session(
-            session_id=session_id,
-            manager=self._manager_factory(),
-            created_at=now,
-            last_active=now,
-            neutral_label=self.neutral_label,
-        )
 
     def evict(self, session_id: str, reason: str = "preempted") -> Session | None:
         """Forcibly drop one session; returns it, or ``None`` if absent.
@@ -182,8 +160,8 @@ class SessionManager:
         eviction is accounted per reason
         (``serve.sessions.preempted{reason=...}``) alongside the shared
         ``serve.sessions.evicted`` total.  An in-flight window of the
-        evicted session still completes — its result is delivered to a
-        :meth:`detached` stand-in, never back into the table.
+        evicted session still completes against the returned object,
+        never back into the table.
         """
         obs = get_registry()
         with self._lock:
@@ -205,14 +183,14 @@ class SessionManager:
                 session.last_active = max(session.last_active, now)
                 self._sessions.move_to_end(session_id)
                 return session
-            while len(self._sessions) >= self.max_sessions:
+            while len(self._sessions) >= MAX_SESSIONS:
                 self._sessions.popitem(last=False)
                 self.evicted_lru += 1
                 obs.inc("serve.sessions.evicted_lru")
                 obs.inc("serve.sessions.evicted")
             session = Session(
                 session_id=session_id,
-                manager=self._manager_factory(),
+                manager=AffectDrivenSystemManager(stale_ttl_s=self.stale_ttl_s),
                 created_at=now,
                 last_active=now,
                 neutral_label=self.neutral_label,

@@ -25,6 +25,7 @@ from repro.datasets import emovo_like
 from repro.datasets.speech import synthesize_utterance
 from repro.obs import get_registry, labeled
 from repro.serve import AffectServer, ServeConfig
+from repro.serve.bench import make_pool
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +278,7 @@ class TestAdmissionAndReaping:
     def test_inflight_window_of_preempted_session_is_unroutable(
             self, pipeline, wave, tmp_path):
         # A window pending in the batcher when its session is preempted
-        # completes against a detached stand-in; the daemon counts the
+        # completes against the evicted session; the daemon counts the
         # reply unroutable instead of resurrecting the session.
         async def run():
             daemon = make_daemon(
@@ -304,6 +305,51 @@ class TestAdmissionAndReaping:
                 assert daemon.server.dropped == 0
                 first.close()
                 second.close()
+            finally:
+                await daemon.stop()
+
+        asyncio.run(run())
+
+    def test_takeover_reply_carries_its_own_window(self, pipeline, tmp_path):
+        # Two windows of the old connection are still in the batcher when
+        # a second client takes over the session id and sends seq 100.
+        # Each result goes to the connection and seq it was submitted
+        # with: the old windows' replies are unroutable, and the new
+        # connection's reply and session hold only its own window.
+        pool, _ = make_pool(pipeline.classifier.label_names, 8, seed=0)
+        labels = [pipeline.classify_waveform(window) for window in pool]
+        new_window, new_label = pool[1], labels[1]
+        old_windows = [window for window, label in zip(pool, labels)
+                       if label != new_label][:2]
+
+        async def run():
+            daemon = make_daemon(
+                pipeline, tmp_path,
+                serve={"max_batch": 64, "max_wait_s": 60.0},
+            )
+            await daemon.start()
+            try:
+                old = Client()
+                await old.connect(daemon, "u-take")
+                for seq, window in enumerate(old_windows):
+                    old.send(protocol.window_frame(seq, window))
+                await wait_until(lambda: daemon.server.pending == 2
+                                 and not daemon._hop_conns)
+                new = Client()
+                await new.connect(daemon, "u-take")
+                await old.expect("preempted")
+                new.send(protocol.window_frame(100, new_window))
+                await wait_until(lambda: daemon.server.pending == 3)
+                fresh = daemon.server.sessions.get("u-take")
+                daemon._dispatch(await daemon._run(
+                    daemon.server.drain, daemon.now()))
+                reply = await new.expect("result")
+                assert reply["seq"] == 100
+                assert reply["label"] == new_label
+                assert daemon.unroutable == 2
+                assert fresh.windows == 1
+                old.close()
+                new.close()
             finally:
                 await daemon.stop()
 
@@ -365,7 +411,7 @@ class TestIngestQueue:
                     gate.set()
                 await daemon.stop()
             # The first window is still answered exactly once (drained
-            # against a detached stand-in, reply unroutable).
+            # against the evicted session, reply unroutable).
             assert daemon.server.dropped == 0
             assert daemon.unroutable == 3
 
@@ -433,10 +479,10 @@ class TestIngestQueue:
                 submit = daemon.server.submit
                 waited: list[bool] = []
 
-                def submit_after_first_flush(session_id, signal, now):
+                def submit_after_first_flush(session_id, signal, now, tag):
                     if daemon.server.submitted == 3:
                         waited.append(first_flush_out.wait(5.0))
-                    return submit(session_id, signal, now)
+                    return submit(session_id, signal, now, tag)
 
                 daemon.server.submit = submit_after_first_flush
                 hops = get_registry().counter("daemon.hops")
@@ -473,11 +519,11 @@ class TestIngestQueue:
                 submit = daemon.server.submit
                 calls = []
 
-                def flaky(session_id, signal, now):
+                def flaky(session_id, signal, now, tag):
                     calls.append(session_id)
                     if len(calls) == 1:
                         raise RuntimeError("injected submit failure")
-                    return submit(session_id, signal, now)
+                    return submit(session_id, signal, now, tag)
 
                 daemon.server.submit = flaky
                 client = Client()

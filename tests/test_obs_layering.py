@@ -2,7 +2,9 @@
 
 Harnesses that drive the serving stack under telemetry live with the
 code they drive (:mod:`repro.bench`, :mod:`repro.serve`), so the
-telemetry package stays importable on its own, without numpy.
+telemetry package stays importable on its own, without numpy.  The same
+holds one layer up: ``repro.resilience`` is a dependency of the serving
+stack, so the serve-side chaos plans live in :mod:`repro.serve`.
 """
 
 from __future__ import annotations
@@ -17,36 +19,42 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 OBS = REPO / "src" / "repro" / "obs"
+RESILIENCE = REPO / "src" / "repro" / "resilience"
 #: The layers above telemetry.
 ABOVE = ("serve", "resilience", "daemon", "affect", "datasets", "video",
          "android", "core", "dsp", "nn", "hw")
 
 
-def _imported_names(tree: ast.AST) -> set[str]:
-    """Every module an import statement names, at any depth."""
+def _imported_layers(path: Path, layers: tuple[str, ...]) -> list[str]:
+    """Every module of ``layers`` that ``path`` imports, at any depth."""
     names: set[str] = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            parts = ["repro", "obs"][:3 - node.level] if node.level else []
+            package = ["repro", path.parent.name]
+            parts = package[:3 - node.level] if node.level else []
             if node.module:
                 parts.append(node.module)
             module = ".".join(parts)
             names.add(module)
             names.update(f"{module}.{alias.name}" for alias in node.names)
-    return names
+    return sorted(
+        name for name in names for layer in layers
+        if name == f"repro.{layer}" or name.startswith(f"repro.{layer}.")
+    )
 
 
 @pytest.mark.parametrize("path", sorted(OBS.glob("*.py")),
                          ids=lambda p: p.name)
 def test_obs_module_imports_no_layer_above(path):
-    names = _imported_names(ast.parse(path.read_text(), str(path)))
-    above = sorted(
-        name for name in names for layer in ABOVE
-        if name == f"repro.{layer}" or name.startswith(f"repro.{layer}.")
-    )
-    assert above == []
+    assert _imported_layers(path, ABOVE) == []
+
+
+@pytest.mark.parametrize("path", sorted(RESILIENCE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_resilience_module_imports_no_serving_layer(path):
+    assert _imported_layers(path, ("serve", "daemon")) == []
 
 
 def test_obs_imports_without_numpy():

@@ -6,6 +6,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.affect.pipeline import AffectClassifierPipeline
 from repro.datasets import emovo_like
@@ -21,6 +29,7 @@ from repro.serve import (
     SessionManager,
     window_hash,
 )
+from repro.serve import sessions as sessions_module
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +220,7 @@ class TestMicroBatcher:
 
 class TestSessionManager:
     def test_create_touch_and_order(self):
-        manager = SessionManager(idle_ttl_s=10.0, max_sessions=8)
+        manager = SessionManager(idle_ttl_s=10.0)
         manager.get_or_create("a", 0.0)
         manager.get_or_create("b", 1.0)
         manager.get_or_create("a", 2.0)  # touch re-orders
@@ -227,8 +236,9 @@ class TestSessionManager:
         with pytest.raises(SessionEvictedError):
             manager.get("old")
 
-    def test_lru_cap_eviction(self):
-        manager = SessionManager(idle_ttl_s=100.0, max_sessions=2)
+    def test_lru_cap_eviction(self, monkeypatch):
+        monkeypatch.setattr(sessions_module, "MAX_SESSIONS", 2)
+        manager = SessionManager(idle_ttl_s=100.0)
         manager.get_or_create("a", 0.0)
         manager.get_or_create("b", 1.0)
         manager.get_or_create("c", 2.0)  # evicts "a"
@@ -251,8 +261,7 @@ class TestSessionManager:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             SessionManager(idle_ttl_s=0.0)
-        with pytest.raises(ValueError):
-            SessionManager(max_sessions=0)
+        assert sessions_module.MAX_SESSIONS >= 1
 
 
 class TestAffectServer:
@@ -599,8 +608,8 @@ class TestEvictionAndOutcomes:
             self, pipeline, waves):
         # The daemon's race: a window is in flight (pending in the
         # batcher) when the session is preempted from another thread.
-        # The flush must deliver a well-formed result to a detached
-        # stand-in -- and must NOT recreate the session table entry.
+        # The flush must deliver a well-formed result to the evicted
+        # session -- and must NOT recreate the session table entry.
         from repro.obs import get_registry
 
         server = self._server(pipeline)
@@ -632,6 +641,32 @@ class TestEvictionAndOutcomes:
         assert get_registry().counter(
             "serve.orphaned_results"
         ).value == orphans_before + 1
+
+    def test_takeover_answers_each_window_for_its_own_session(
+            self, pipeline, waves):
+        # The daemon's takeover in process: two windows of session "x"
+        # are pending when it is evicted and a new session takes the id.
+        # The drain answers each window under the tag and the session it
+        # was submitted with, so the new session sees only its own.
+        from repro.obs import get_registry
+
+        orphans = get_registry().counter("serve.orphaned_results")
+        orphans_before = orphans.value
+        server = self._server(pipeline)
+        assert server.submit("x", waves[0], now=0.0, tag="old-0") == []
+        assert server.submit("x", waves[1], now=0.1, tag="old-1") == []
+        old = server.sessions.evict("x", reason="takeover")
+        assert server.submit("x", waves[2], now=0.2, tag="new-0") == []
+        fresh = server.sessions.get("x")
+        results = server.drain(now=1.0)
+        assert {r.tag: r.label for r in results} == {
+            tag: pipeline.classify_waveform(wave)
+            for tag, wave in zip(("old-0", "old-1", "new-0"), waves)
+        }
+        assert fresh.windows == 1
+        assert old.windows == 2
+        assert server.sessions.peek("x") is fresh
+        assert orphans.value == orphans_before + 2
 
     def test_repeated_evict_submit_race_never_leaks(self, pipeline, waves):
         server = self._server(pipeline, max_batch=1)
@@ -668,3 +703,83 @@ class TestEvictionAndOutcomes:
         assert shed[0].outcome == "shed" and shed[0].shed
         flushed = slow.drain(now=1.0)
         assert [r.outcome for r in flushed] == ["completed"]
+
+
+class ServeMachine(RuleBasedStateMachine):
+    """Submits, evictions, polls and drains over one :class:`AffectServer`.
+
+    Every window carries a unique tag; the machine records which session
+    each tag was sent under and how many windows each live session was
+    sent since it was created.
+    """
+
+    SESSIONS = ("a", "b", "c")
+
+    def __init__(self, pipeline, windows) -> None:
+        super().__init__()
+        self.server = AffectServer(pipeline, ServeConfig(
+            max_batch=3, max_wait_s=0.5, max_queue=64, idle_ttl_s=100.0,
+            stale_ttl_s=None,
+        ))
+        self.windows = windows
+        self.labels = [pipeline.classify_waveform(w) for w in windows]
+        self.now = 0.0
+        self.sent: dict[int, tuple[str, int]] = {}  # tag -> (session, window)
+        self.answered: set[int] = set()
+        self.since_created = dict.fromkeys(self.SESSIONS, 0)
+
+    def _answer(self, results) -> None:
+        for result in results:
+            assert result.tag not in self.answered
+            self.answered.add(result.tag)
+            session_id, window = self.sent[result.tag]
+            assert result.session_id == session_id
+            assert result.label == self.labels[window]
+
+    @rule(session_id=st.sampled_from(SESSIONS), window=st.integers(0, 3))
+    def submit(self, session_id, window):
+        tag = len(self.sent)
+        self.sent[tag] = (session_id, window)
+        if session_id not in self.server.sessions:
+            self.since_created[session_id] = 0
+        self.since_created[session_id] += 1
+        self._answer(self.server.submit(
+            session_id, self.windows[window], self.now, tag))
+
+    @rule(session_id=st.sampled_from(SESSIONS))
+    def evict(self, session_id):
+        self.server.sessions.evict(session_id)
+
+    @rule(dt=st.sampled_from((0.1, 0.3, 0.6)))
+    def poll(self, dt):
+        self.now += dt
+        self._answer(self.server.poll(self.now))
+
+    @rule()
+    def drain(self):
+        self._answer(self.server.drain(self.now))
+
+    @invariant()
+    def accounting(self):
+        server = self.server
+        assert server.submitted == (server.completed + server.shed
+                                    + server.pending)
+
+    @invariant()
+    def live_sessions_hold_only_their_own_windows(self):
+        for session_id in self.SESSIONS:
+            session = self.server.sessions.peek(session_id)
+            if session is not None:
+                assert session.windows <= self.since_created[session_id]
+
+    def teardown(self):
+        self._answer(self.server.drain(self.now))
+        assert self.answered == set(self.sent)
+
+
+def test_serve_state_machine(pipeline, waves):
+    run_state_machine_as_test(
+        lambda: ServeMachine(pipeline, waves[:4]),
+        settings=settings(max_examples=40, stateful_step_count=25,
+                          deadline=None),
+    )
